@@ -3,7 +3,7 @@
 Three measurements over the durability machinery the chaos suite
 exercises end to end (``store_failover`` / ``record_corruption``):
 
-* **fsync throughput** — puts/s into a :class:`JsonlQueryStore` under
+* **fsync throughput** — puts/s into a :class:`ResultStore` under
   each fsync policy (``none`` / ``batch`` / ``always``).  This is the
   price list for the ``--store-fsync`` knob: ``none`` rides the page
   cache, ``batch`` amortises one ``fsync`` per interval, ``always``
@@ -40,7 +40,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.serve.cache import JsonlQueryStore
+from repro.campaigns.store import ResultStore
 from repro.serve.stored import RemoteStore, StoreClient, StoreDaemon
 
 from _common import timed
@@ -59,13 +59,14 @@ def _result(index: int) -> dict:
 
 def _fsync_throughput(mode: str, puts: int = FSYNC_PUTS) -> float:
     with tempfile.TemporaryDirectory() as tmp:
-        store = JsonlQueryStore(Path(tmp) / "queries", fsync=mode)
+        store = ResultStore(Path(tmp) / "queries", fsync=mode)
         elapsed, _ = timed(
             lambda: [store.put(f"job-{i}", _result(i)) for i in range(puts)]
         )
         assert len(store) == puts
         # Durability check: a fresh scan of the same file sees them all.
-        reloaded = JsonlQueryStore(Path(tmp) / "queries")
+        store.close()
+        reloaded = ResultStore(Path(tmp) / "queries")
         assert len(reloaded) == puts
     return round(puts / elapsed, 1)
 

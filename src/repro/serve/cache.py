@@ -1,213 +1,38 @@
 """Bounded result caching for the serving layer.
 
-Two pieces, composed by :class:`~repro.serve.service.AnalysisService`:
-
-* :class:`JsonlQueryStore` — the persistent tier (``--run-dir``).  Same
-  append-only ``{"job": <hash>, "result": ...}`` JSONL format as the
-  campaign :class:`~repro.campaigns.store.ResultStore` (files written
-  by either are interchangeable), but it keeps only a *byte-offset
-  index* in memory and reads results back from disk on demand — a
-  long-running server accumulating millions of distinct query results
-  holds ~100 bytes per entry, not the results themselves.
-* :class:`ServeCache` — a bounded in-memory LRU in front of an optional
-  store.  Results are keyed by the campaign engine's sha256 content
-  address (:func:`repro.campaigns.spec.job_hash`).
+:class:`ServeCache` is a bounded in-memory LRU in front of an optional
+backing store, composed by :class:`~repro.serve.service.AnalysisService`.
+Results are keyed by the campaign engine's sha256 content address
+(:func:`repro.campaigns.spec.job_hash`).  The persistent tier
+(``--run-dir``) is the one JSONL :class:`~repro.campaigns.store.ResultStore`
+— offset-indexed, CRC-checked on every read — and a cluster front-end
+plugs in a :class:`~repro.serve.stored.RemoteStore` instead.
 
 Lookup order on a request: LRU (fast path, counted as ``hits``), then
 the backing store (``store_hits``; the entry is promoted into the LRU),
 then a miss (the service computes the job and calls :meth:`put`).  The
 counters are exposed verbatim at ``GET /stats`` and asserted by the
-end-to-end tests.  Both classes are thread-safe: the service calls
-``put`` from executor threads to keep disk writes off the event loop.
+end-to-end tests.  The cache is thread-safe: the service calls ``put``
+from executor threads to keep disk writes off the event loop.
 """
 
 from __future__ import annotations
 
-import json
 import threading
-import warnings
 from collections import OrderedDict
-from pathlib import Path
 from typing import Any
 
 from repro.campaigns.spec import jsonable
-from repro.campaigns.store import (
-    CORRUPT_SUFFIX,
-    FsyncPolicy,
-    MemoryStore,
-    StoreCorruptionWarning,
-    StoreWriteWarning,
-    iter_result_records,
-    quarantine_record,
-    result_line,
-    tail_needs_newline,
-)
+from repro.campaigns.store import MemoryStore, ResultStore
+
+# Kept only for perfbench: its SERVE_LAYERS wrap this module's
+# ``JsonlQueryStore.get``/``.put`` and its CAMPAIGN_LAYERS wrap
+# ``repro.campaigns.store.ResultStore.put``, each looked up in the class
+# ``__dict__``, and perfbench/ stays fixed so its runs remain comparable.
+# Hence ``get`` and ``put`` are defined on ResultStore itself.
+JsonlQueryStore = ResultStore
 
 _MISS = object()
-
-
-class JsonlQueryStore:
-    """Append-only JSONL store holding only an offset index in memory.
-
-    Implements the subset of the :class:`MemoryStore` interface the
-    serving cache needs (``get`` / ``put`` / ``in`` / ``len``).  A torn
-    final line (killed server) is skipped on reload, exactly like the
-    campaign store; its job simply recomputes.  A *corrupt* record
-    (CRC mismatch, unparseable complete line) is quarantined into a
-    ``.corrupt`` sidecar and dropped from the index, so only the
-    damaged hashes recompute.
-    """
-
-    persistent = True
-
-    def __init__(
-        self,
-        directory: str | Path,
-        fsync: FsyncPolicy | str | None = None,
-    ) -> None:
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self.path = self.directory / "results.jsonl"
-        self.fsync = FsyncPolicy.coerce(fsync)
-        self.read_only = False
-        self.write_errors = 0
-        self.corrupt_records = 0
-        self._lock = threading.Lock()
-        #: job hash -> byte offset of its line in ``path``.
-        self._index: dict[str, int] = {}
-        #: job hash -> result, for entries accepted while read-only
-        #: (disk append failed) — keeps the server answering even when
-        #: the disk under it is full.
-        self._overlay: dict[str, Any] = {}
-        #: True when the file ends in a torn line (killed mid-write):
-        #: the next append must start on a fresh line or it would merge
-        #: with the torn bytes and be lost on the following reload.
-        self._needs_newline = False
-        self._scan()
-
-    def _scan(self) -> None:
-        """Build the offset index from the existing file, if any."""
-        for offset, record in iter_result_records(self.path, self._quarantine):
-            self._index[record["job"]] = offset
-        self._needs_newline = tail_needs_newline(self.path)
-
-    def _quarantine(self, offset: int, raw: bytes, reason: str) -> None:
-        self.corrupt_records += 1
-        if quarantine_record(self.path, offset, raw, reason):
-            warnings.warn(
-                f"{self.path}: corrupt record at offset {offset} ({reason}); "
-                f"quarantined to {self.path.name}{CORRUPT_SUFFIX}",
-                StoreCorruptionWarning,
-                stacklevel=2,
-            )
-
-    @property
-    def end_offset(self) -> int:
-        """Current byte length of the store file (the replication log
-        position: a replica caught up to ``end_offset`` has every
-        committed record)."""
-        try:
-            return self.path.stat().st_size
-        except OSError:
-            return 0
-
-    def _append_locked(self, job_id: str, line: str) -> None:
-        """Append one pre-rendered line while holding ``_lock``.
-
-        On ``OSError`` (``ENOSPC``, revoked permissions, dying disk)
-        the store degrades to read-only instead of crashing the server:
-        later results land in an in-memory overlay and the structured
-        warning + ``/stats`` counters make the degradation observable.
-        """
-        try:
-            with self.path.open("a", encoding="utf-8") as handle:
-                offset = handle.tell()
-                if self._needs_newline:
-                    handle.write("\n")
-                    offset += 1
-                    self._needs_newline = False
-                handle.write(line + "\n")
-                handle.flush()
-                self.fsync.sync(handle.fileno())
-        except OSError as exc:
-            self.read_only = True
-            self.write_errors += 1
-            warnings.warn(
-                f"{self.path}: append failed ({exc}); store degraded to "
-                "read-only — new results held in memory only",
-                StoreWriteWarning,
-                stacklevel=3,
-            )
-        else:
-            self._index[job_id] = offset
-
-    def get(self, job_id: str, default: Any = None) -> Any:
-        """One stored result, read back from disk by offset."""
-        with self._lock:
-            offset = self._index.get(job_id)
-            if offset is None:
-                if job_id in self._overlay:
-                    return self._overlay[job_id]
-                return default
-            with self.path.open("rb") as handle:
-                handle.seek(offset)
-                line = handle.readline()
-        record = json.loads(line)
-        return record.get("result")
-
-    def put(self, job_id: str, result: Any) -> Any:
-        """Append one result line; returns the normalised result."""
-        normalised = jsonable(result)
-        line = result_line(job_id, normalised)
-        with self._lock:
-            if self.read_only:
-                self._overlay[job_id] = normalised
-            else:
-                self._append_locked(job_id, line)
-                if self.read_only:  # the append just failed
-                    self._overlay[job_id] = normalised
-        return normalised
-
-    def put_if_absent(self, job_id: str, result: Any) -> tuple[Any, bool]:
-        """Append only when the hash is new; ``(result, stored)``.
-
-        The dedupe the store daemon relies on: jobs are deterministic,
-        so a second ``put`` of the same content address can only be a
-        recomputation of the same bytes — skipping the append keeps the
-        store at exactly one line per distinct hash even when several
-        front-ends race on the same job.
-        """
-        with self._lock:
-            if job_id not in self._index and job_id not in self._overlay:
-                normalised = jsonable(result)
-                if self.read_only:
-                    self._overlay[job_id] = normalised
-                    return normalised, True
-                line = result_line(job_id, normalised)
-                self._append_locked(job_id, line)
-                if self.read_only:  # the append just failed
-                    self._overlay[job_id] = normalised
-                return normalised, True
-        return self.get(job_id), False
-
-    def durability_stats(self) -> dict:
-        """Store-level durability counters for ``GET /stats``."""
-        with self._lock:
-            return {
-                "fsync": self.fsync.mode,
-                "read_only": self.read_only,
-                "write_errors": self.write_errors,
-                "corrupt_records": self.corrupt_records,
-                "end_offset": self.end_offset,
-            }
-
-    def __contains__(self, job_id: str) -> bool:
-        with self._lock:
-            return job_id in self._index or job_id in self._overlay
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._index) + len(self._overlay)
 
 
 class ServeCache:
@@ -216,7 +41,7 @@ class ServeCache:
     def __init__(
         self,
         maxsize: int = 1024,
-        store: MemoryStore | JsonlQueryStore | None = None,
+        store: MemoryStore | ResultStore | None = None,
     ) -> None:
         if maxsize < 1:
             raise ValueError(f"cache maxsize must be >= 1, got {maxsize}")

@@ -61,8 +61,9 @@ from repro.campaigns.engine import run_campaign
 from repro.campaigns.progress import ProgressEvent
 from repro.campaigns.scheduler import RunStats
 from repro.campaigns.spec import CampaignSpec, job_hash, jsonable
+from repro.campaigns.store import ResultStore
 from repro.serve import jobs
-from repro.serve.cache import JsonlQueryStore, ServeCache
+from repro.serve.cache import ServeCache
 from repro.serve.http import HttpError, HttpRequest
 from repro.serve.pool import ResilientPool
 
@@ -308,7 +309,7 @@ class AnalysisService:
         elif self.config.run_dir is not None:
             # Offset-indexed on disk: the LRU (not the store) bounds
             # what this process holds in memory.
-            store = JsonlQueryStore(
+            store = ResultStore(
                 Path(self.config.run_dir) / "queries",
                 fsync=self.config.store_fsync,
             )
@@ -482,7 +483,7 @@ class AnalysisService:
             cache_stats["remote"] = store_stats()
         durability = getattr(self.cache.store, "durability_stats", None)
         if callable(durability):
-            # JsonlQueryStore: fsync mode, read-only degradation and
+            # ResultStore: fsync mode, read-only degradation and
             # corrupt-record quarantine counters.
             cache_stats["store"] = durability()
         from repro.core.backend import get_backend

@@ -1,13 +1,13 @@
 """Shared result tier: the store daemon and its sharded remote client.
 
 One process per shard owns an offset-indexed
-:class:`~repro.serve.cache.JsonlQueryStore` and serves it over a tiny
+:class:`~repro.campaigns.store.ResultStore` and serves it over a tiny
 length-prefixed JSON protocol, so every front-end of a ``repro
 cluster`` reads and writes the *same* content-addressed results —
 a job computed by any front-end is a cache hit for all of them.
 
 * :class:`StoreDaemon` — the server: thread-per-connection over one
-  ``JsonlQueryStore``.  ``put`` is **deduplicating**: a job hash already
+  ``ResultStore``.  ``put`` is **deduplicating**: a job hash already
   present is not appended again (results are deterministic, so the
   second write can only be a byte-identical recomputation) — which is
   what makes "each distinct hash computed once" checkable by grepping
@@ -73,8 +73,7 @@ from pathlib import Path
 from typing import Any, Iterable, Sequence
 
 from repro.campaigns.spec import jsonable
-from repro.campaigns.store import FsyncPolicy
-from repro.serve.cache import JsonlQueryStore
+from repro.campaigns.store import FsyncPolicy, ResultStore
 
 #: Frame header: payload length as 4-byte big-endian unsigned int.
 _HEADER = struct.Struct(">I")
@@ -187,7 +186,7 @@ class HashRing:
 
 
 class StoreDaemon:
-    """Thread-per-connection server over one :class:`JsonlQueryStore`.
+    """Thread-per-connection server over one :class:`ResultStore`.
 
     Torn-write recovery is inherited from the store: a daemon killed
     mid-append leaves a torn final line that the restart scan skips
@@ -217,7 +216,7 @@ class StoreDaemon:
             raise ValueError(
                 f"max_connections must be >= 1, got {max_connections}"
             )
-        self.store = JsonlQueryStore(directory, fsync=fsync)
+        self.store = ResultStore(directory, fsync=fsync)
         self.host = host
         self.port = port
         self.replica_of = replica_of
@@ -309,7 +308,7 @@ class StoreDaemon:
         return self
 
     def stop(self) -> None:
-        """Stop accepting and drop every open connection.
+        """Stop accepting, drop every open connection, close the store.
 
         ``shutdown`` before ``close`` on every socket: a bare ``close``
         does not wake a thread blocked in ``accept``/``recv`` on Linux
@@ -351,6 +350,7 @@ class StoreDaemon:
                     pass
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=5)
+        self.store.close()
 
     def __enter__(self) -> "StoreDaemon":
         """Context-manager support: started daemon in, stopped out."""
@@ -488,7 +488,9 @@ class StoreDaemon:
             # One-shot catch-up batch: the poll-based sibling of
             # ``stream``, used by tools and tests.
             offset = self._resume_offset(request)
-            records, next_offset, more = self._read_log(offset, limit=256)
+            records, next_offset, more = self.store.read_log(
+                offset, limit=256
+            )
             return {
                 "ok": True,
                 "log_id": self.log_id,
@@ -553,44 +555,6 @@ class StoreDaemon:
             return offset
         return 0
 
-    def _read_log(
-        self, offset: int, limit: int
-    ) -> tuple[list[dict], int, bool]:
-        """Up to ``limit`` committed records from byte ``offset``.
-
-        Returns ``(records, next_offset, more)``.  Reads the
-        append-only file directly — committed bytes never change, so no
-        lock is needed.  Corrupt or blank lines advance the offset
-        without producing a record (the primary's own rescan
-        quarantines them; a replica simply never sees them).
-        """
-        records: list[dict] = []
-        try:
-            handle = self.store.path.open("rb")
-        except OSError:
-            return records, offset, False
-        with handle:
-            handle.seek(offset)
-            while len(records) < limit:
-                raw = handle.readline()
-                if not raw.endswith(b"\n"):
-                    break  # torn tail or EOF: stop before it
-                line = raw.strip()
-                if line:
-                    try:
-                        record = json.loads(line)
-                    except json.JSONDecodeError:
-                        record = None
-                    if isinstance(record, dict) and "job" in record:
-                        records.append({
-                            "job": record["job"],
-                            "result": record.get("result"),
-                            "offset": offset + len(raw),
-                        })
-                offset += len(raw)
-            more = bool(handle.readline())
-        return records, offset, more
-
     def _handle_stream(self, conn: socket.socket, request: dict) -> None:
         """Serve one replication subscriber until it disconnects.
 
@@ -652,7 +616,9 @@ class StoreDaemon:
     ) -> None:
         try:
             while not (stop.is_set() or self._stopping.is_set()):
-                records, offset, _more = self._read_log(offset, limit=256)
+                records, offset, _more = self.store.read_log(
+                    offset, limit=256
+                )
                 if not records:
                     with self._log_cond:
                         self._log_cond.wait(timeout=0.5)
@@ -877,7 +843,7 @@ class StoreClient:
 
 
 class RemoteStore:
-    """Sharded store client with the :class:`JsonlQueryStore` interface.
+    """Sharded store client with the :class:`ResultStore` read/put interface.
 
     Plugs into :class:`~repro.serve.cache.ServeCache` as the backing
     store of a cluster front-end:

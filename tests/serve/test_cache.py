@@ -3,7 +3,7 @@
 import pytest
 
 from repro.campaigns.store import MemoryStore, ResultStore
-from repro.serve.cache import JsonlQueryStore, ServeCache
+from repro.serve.cache import ServeCache
 
 
 class TestLru:
@@ -63,11 +63,11 @@ class TestStoreBacked:
         assert found and value == 1 and cache.store_hits == 1
 
     def test_persistent_store_survives_cache(self, tmp_path):
-        cache = ServeCache(maxsize=4, store=JsonlQueryStore(tmp_path / "q"))
+        cache = ServeCache(maxsize=4, store=ResultStore(tmp_path / "q"))
         cache.put("a", {"v": 1})
         assert cache.stats()["persistent"] is True
         # a fresh cache over the same directory starts warm
-        warm = ServeCache(maxsize=4, store=JsonlQueryStore(tmp_path / "q"))
+        warm = ServeCache(maxsize=4, store=ResultStore(tmp_path / "q"))
         found, value = warm.get("a")
         assert found and value == {"v": 1} and warm.store_hits == 1
 
@@ -87,73 +87,53 @@ class TestStoreBacked:
         }
 
 
-class TestJsonlQueryStore:
+class TestResultStoreTier:
     def test_roundtrip_and_reload(self, tmp_path):
-        store = JsonlQueryStore(tmp_path / "q")
+        store = ResultStore(tmp_path / "q")
         store.put("a", {"t": (1, 2)})
         store.put("b", 7)
         assert store.get("a") == {"t": [1, 2]}  # normalised like put()
         assert "b" in store and len(store) == 2
-        reloaded = JsonlQueryStore(tmp_path / "q")
+        reloaded = ResultStore(tmp_path / "q")
         assert reloaded.get("a") == {"t": [1, 2]}
         assert reloaded.get("missing", "dflt") == "dflt"
 
     def test_rewrite_uses_latest_line(self, tmp_path):
-        store = JsonlQueryStore(tmp_path / "q")
+        store = ResultStore(tmp_path / "q")
         store.put("a", 1)
         store.put("a", 2)
         assert store.get("a") == 2
-        assert JsonlQueryStore(tmp_path / "q").get("a") == 2
+        assert ResultStore(tmp_path / "q").get("a") == 2
 
     def test_torn_final_line_is_skipped(self, tmp_path):
-        store = JsonlQueryStore(tmp_path / "q")
+        store = ResultStore(tmp_path / "q")
         store.put("a", 1)
         with store.path.open("a", encoding="utf-8") as handle:
             handle.write('{"job": "b", "result"')  # killed mid-write
-        reloaded = JsonlQueryStore(tmp_path / "q")
+        reloaded = ResultStore(tmp_path / "q")
         assert reloaded.get("a") == 1
         assert "b" not in reloaded
 
     def test_memory_holds_index_not_results(self, tmp_path):
         """Only offsets live in memory — the store never keeps results."""
-        store = JsonlQueryStore(tmp_path / "q")
+        store = ResultStore(tmp_path / "q")
         payload = {"big": "x" * 10_000}
         store.put("a", payload)
         assert isinstance(store._index["a"], int)
         assert store.get("a") == payload
 
-    def test_compatible_with_campaign_store_files(self, tmp_path):
-        """ResultStore-written files load as query stores (and back)."""
-        campaign_store = ResultStore(tmp_path / "q")
-        campaign_store.put("a", {"v": 1})
-        assert JsonlQueryStore(tmp_path / "q").get("a") == {"v": 1}
-        query_store = JsonlQueryStore(tmp_path / "q2")
-        query_store.put("b", 2)
-        assert ResultStore(tmp_path / "q2").get("b") == 2
-
 
 class TestTornLineAppend:
     def test_append_after_torn_line_starts_fresh(self, tmp_path):
         """A record written after a crash must survive the next reload."""
-        store = JsonlQueryStore(tmp_path / "q")
+        store = ResultStore(tmp_path / "q")
         store.put("a", 1)
         with store.path.open("a", encoding="utf-8") as handle:
             handle.write('{"job": "torn", "result"')  # killed mid-write
-        recovered = JsonlQueryStore(tmp_path / "q")
+        recovered = ResultStore(tmp_path / "q")
         recovered.put("b", 2)
         assert recovered.get("b") == 2
         # the crucial part: b is still there after ANOTHER reload
-        final = JsonlQueryStore(tmp_path / "q")
-        assert final.get("a") == 1 and final.get("b") == 2
-        assert "torn" not in final
-
-    def test_campaign_store_has_the_same_guarantee(self, tmp_path):
-        store = ResultStore(tmp_path / "run")
-        store.put("a", 1)
-        with store.path.open("a", encoding="utf-8") as handle:
-            handle.write('{"job": "torn"')
-        recovered = ResultStore(tmp_path / "run")
-        recovered.put("b", 2)
-        final = ResultStore(tmp_path / "run")
+        final = ResultStore(tmp_path / "q")
         assert final.get("a") == 1 and final.get("b") == 2
         assert "torn" not in final
