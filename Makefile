@@ -38,7 +38,7 @@ campaign-smoke:
 docs-check:
 	$(PYTHON) tools/docs_check.py
 
-## Compare the two latest BENCH_engine.json entries; fail on a >20%
+## Compare the latest BENCH_engine.json entry with the last 3 of its label; fail on a >20%
 ## regression in any tracked metric (pure file read, no benchmarks run).
 bench-regress:
 	$(PYTHON) tools/bench_regress.py

@@ -10,6 +10,8 @@ they all run on:
   ``python -m repro campaign spec.json``, plus content-addressed jobs;
 * :mod:`repro.campaigns.scheduler` — deterministic job expansion fanned
   out over one shared process pool with worker-local platform reuse;
+* :mod:`repro.campaigns.pool` — :class:`ResilientPool`, the one
+  process-pool supervisor (rebuild on worker death, kill on timeout);
 * :mod:`repro.campaigns.store` — a JSONL :class:`ResultStore` keyed by
   stable job hashes, making every campaign resumable;
 * :mod:`repro.campaigns.export` — shared ``text`` / ``csv`` / ``json``

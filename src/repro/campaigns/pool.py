@@ -1,28 +1,32 @@
-"""A supervised process pool that survives its workers.
+"""The one process-pool supervisor: a pool that survives its workers.
 
-``repro serve`` shares one process pool between every request and every
-submitted campaign, so a single worker death (an OOM-killed numpy
-worker, a segfault) must not poison the whole server: a plain
-``ProcessPoolExecutor`` goes permanently broken and every future ever
-submitted to it — including queued coalesced requests that were never
-near the dead worker — fails with ``BrokenProcessPool``.
-
-:class:`ResilientPool` wraps the executor with a supervisor:
+A plain ``ProcessPoolExecutor`` goes permanently broken when one
+worker dies (an OOM-killed numpy worker, a segfault): every future ever
+submitted to it fails with ``BrokenProcessPool``.  :class:`ResilientPool`
+is the only code in the campaign and serving layers that creates,
+rebuilds or kills worker processes:
 
 * callers get an *outer* future that is relayed from the inner pool
-  future, so queued work is never lost to a break — on
-  ``BrokenProcessPool`` the pool is rebuilt and the work resubmitted
-  (bounded by ``max_resubmits`` per future; jobs are content-addressed
-  and deterministic, so re-running one is always safe);
+  future; on ``BrokenProcessPool`` the pool is rebuilt and the work
+  resubmitted up to ``max_resubmits`` times per future (jobs are
+  content-addressed and deterministic, so re-running one is always
+  safe), after which the break reaches the caller;
 * rebuilds are serialised and generation-counted — a stampede of
-  broken futures triggers exactly one rebuild;
-* :attr:`rebuilding` exposes a short post-rebuild cooldown window the
-  service uses for 503/Retry-After backpressure while fresh workers
-  warm up.
+  broken futures triggers exactly one rebuild — and always happen
+  *before* a break is reported, so a caller that sees one may submit
+  again straight away;
+* :meth:`~ResilientPool.kill_workers` reclaims hung workers;
+* :attr:`~ResilientPool.rebuilding` exposes a short post-rebuild
+  cooldown window ``repro serve`` uses for 503/Retry-After
+  backpressure while fresh workers warm up.
 
-The wrapper *is* a :class:`concurrent.futures.Executor`, so it drops
-into ``loop.run_in_executor`` and the campaign scheduler's injected
-``pool`` unchanged.
+Two configurations exist.  The campaign
+:class:`~repro.campaigns.scheduler.Scheduler` creates a private pool
+with ``max_resubmits=0``, so every break reaches its convict/exonerate
+logic; ``repro serve`` shares one pool with the default 3 resubmits
+between its requests and submitted campaigns.  The wrapper *is* a
+:class:`concurrent.futures.Executor`, so it drops into
+``loop.run_in_executor`` unchanged.
 """
 
 from __future__ import annotations

@@ -5,9 +5,9 @@ collapsed into one code path.  It takes the deterministic job list a
 spec expands to, drops every job whose content address is already in
 the result store (resume), deduplicates identical jobs within the run
 (two x-axis points with the same parameters share one computation), and
-fans the remainder out over a single :class:`ProcessPoolExecutor` —
-emitting one :class:`~repro.campaigns.progress.ProgressEvent` per
-completion.
+fans the remainder out over a single
+:class:`~repro.campaigns.pool.ResilientPool` — emitting one
+:class:`~repro.campaigns.progress.ProgressEvent` per completion.
 
 Jobs ship in same-kind **blocks** — one pickle each way per block
 instead of per job — and kinds with a registered block executor
@@ -31,16 +31,17 @@ failed singletons retry with exponential backoff up to
 ``policy.retries`` times, then **quarantine** — a structured
 ``repro-error/1`` document (:func:`repro.campaigns.store.error_result`)
 is stored in the job's slot and the campaign continues without it.
-When the scheduler owns its pool it also *self-heals*: a
-``BrokenProcessPool`` (a worker OOM-killed or crashed) rebuilds the
-pool and resubmits the in-flight blocks — safe because jobs are
-content-addressed and deterministic, so a resubmitted job writes the
-byte-identical result line it would have written the first time.
-Because one dead worker fails *every* in-flight future, the culprit is
-ambiguous whenever several blocks were in flight; those blocks drain
-through a serial **probe** queue (one block in flight at a time) where
-the next break unambiguously convicts the block it killed.  Per-block
-wall-clock timeouts (``policy.job_timeout_s``, owned pools only) kill
+The pool heals itself; the scheduler convicts.  A ``BrokenProcessPool``
+(a worker OOM-killed or crashed) reaches the scheduler only after the
+:class:`~repro.campaigns.pool.ResilientPool` has rebuilt its workers,
+so the scheduler just reroutes the in-flight blocks — safe because
+jobs are content-addressed and deterministic, so a resubmitted job
+writes the byte-identical result line it would have written the first
+time.  Because one dead worker fails *every* in-flight future, the
+culprit is ambiguous whenever several blocks were in flight; those
+blocks drain through a serial **probe** queue (one block in flight at
+a time) where the next break unambiguously convicts the block it
+killed.  Per-block wall-clock timeouts (``policy.job_timeout_s``) kill
 the workers to reclaim a hung block; the resulting pool break is
 recognised as self-inflicted and the innocent blocks resubmit straight
 back to the parallel queue.
@@ -52,17 +53,12 @@ import heapq
 import itertools
 import time
 from collections import deque
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    BrokenExecutor,
-    Executor,
-    ProcessPoolExecutor,
-    wait,
-)
+from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Executor, wait
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
 from repro.campaigns import registry
+from repro.campaigns.pool import ResilientPool
 from repro.campaigns.progress import Progress, ProgressEvent
 from repro.core import backend as backend_module
 from repro.campaigns.store import MemoryStore, error_result, is_error_result
@@ -164,20 +160,18 @@ class FaultPolicy:
     """How hard the scheduler fights for each job before giving up.
 
     ``retries`` bounds *re*-executions per job (``retries=2`` means a
-    job runs at most 3 times before quarantine); ``job_timeout_s``
-    (owned pools only) is the per-block wall-clock budget after which
-    the workers are killed and the block handled as timed out;
-    ``backoff_s``/``backoff_max_s`` shape the exponential retry delay;
-    ``max_pool_rebuilds`` caps self-healing (``None`` derives a
-    generous bound from the job count so a systemically-broken
-    environment still terminates).
+    job runs at most 3 times before quarantine); ``job_timeout_s`` is
+    the per-block wall-clock budget after which the workers are killed
+    and the block handled as timed out; ``backoff_s``/``backoff_max_s``
+    shape the exponential retry delay.  Pool breaks are capped by
+    :meth:`rebuild_cap`, a generous bound derived from the job count so
+    a systemically-broken environment still terminates.
     """
 
     retries: int = 2
     job_timeout_s: float | None = None
     backoff_s: float = 0.05
     backoff_max_s: float = 2.0
-    max_pool_rebuilds: int | None = None
 
     def __post_init__(self) -> None:
         if self.retries < 0:
@@ -199,9 +193,7 @@ class FaultPolicy:
         )
 
     def rebuild_cap(self, jobs: int) -> int:
-        """Effective pool-rebuild bound for a run of ``jobs`` jobs."""
-        if self.max_pool_rebuilds is not None:
-            return self.max_pool_rebuilds
+        """Pool breaks tolerated in a run of ``jobs`` jobs."""
         return 8 + (self.retries + 1) * max(1, jobs)
 
 
@@ -245,14 +237,11 @@ class Scheduler:
     """Expand-once, run-anywhere job scheduler over one shared pool.
 
     ``pool`` optionally injects an externally-owned
-    :class:`concurrent.futures.Executor` (the serving layer shares one
-    process pool between single-request jobs and whole campaigns); the
-    scheduler then fans out on it without ever shutting it down — and
-    without killing its workers or rebuilding it, so ``job_timeout_s``
-    and pool self-healing only apply to owned pools (an injected
-    resilient pool heals itself; see :mod:`repro.serve.pool`).  When
-    ``pool`` is ``None``, a private ``ProcessPoolExecutor`` is created
-    per run for ``workers > 1`` as before.
+    :class:`~repro.campaigns.pool.ResilientPool` (the serving layer
+    shares one between single-request jobs and whole campaigns); the
+    scheduler fans out on it without ever shutting it down.  When
+    ``pool`` is ``None``, a private ``ResilientPool(workers,
+    max_resubmits=0)`` is created per run for ``workers > 1``.
     """
 
     def __init__(
@@ -407,21 +396,16 @@ class Scheduler:
         """The fault-tolerant supervisor loop over a process pool.
 
         Keeps a bounded submission window in flight; failed blocks
-        split/retry/quarantine per :class:`FaultPolicy`; owned pools
-        self-heal on ``BrokenProcessPool`` and enforce per-block
-        timeouts by killing the workers (see module docstring for the
-        probe-queue convict/exonerate protocol).
+        split/retry/quarantine per :class:`FaultPolicy`; pool breaks
+        arrive already healed and are routed through the probe-queue
+        convict/exonerate protocol (see module docstring); per-block
+        timeouts kill the workers.
         """
         policy = self.faults
-        owns_pool = self.pool is None
-        owned: ProcessPoolExecutor | None = None
-        pool: Executor
-        if owns_pool:
-            owned = pool = ProcessPoolExecutor(max_workers=self.workers)
-        else:
-            pool = self.pool
-        # Timeouts require killing workers; never on a shared pool.
-        enforce_timeouts = owns_pool and policy.job_timeout_s is not None
+        pool = self.pool
+        if pool is None:
+            pool = ResilientPool(self.workers, max_resubmits=0)
+        enforce_timeouts = policy.job_timeout_s is not None
         rebuild_cap = policy.rebuild_cap(len(todo))
 
         ready: deque[_Block] = deque(
@@ -503,23 +487,14 @@ class Scheduler:
             else:
                 schedule_retry(block, serial=False)
 
-        def kill_workers() -> None:
-            processes = getattr(pool, "_processes", None) or {}
-            for process in list(processes.values()):
-                process.kill()
-
         def handle_break(broken: list[_Block]) -> None:
-            """Rebuild the owned pool and reroute every dead block."""
-            nonlocal pool, owned
+            """Reroute every block that died with the (healed) pool."""
             counters["rebuilds"] += 1
             if counters["rebuilds"] > rebuild_cap:
                 raise RuntimeError(
                     f"worker pool broke {counters['rebuilds']} times; "
-                    "giving up (raise FaultPolicy.max_pool_rebuilds to "
-                    "keep fighting)"
+                    f"giving up (cap {rebuild_cap} for {len(todo)} jobs)"
                 )
-            owned.shutdown(wait=True)
-            owned = pool = ProcessPoolExecutor(max_workers=self.workers)
             timed = [b for b in broken if b.timed_out]
             fresh = [b for b in broken if not b.timed_out]
             for block in timed:
@@ -587,16 +562,14 @@ class Scheduler:
                             # The only way to reclaim a hung worker is
                             # to kill it; the pool break that follows
                             # is recognised as self-inflicted.
-                            kill_workers()
+                            pool.kill_workers()
                     continue
-                broken_exc: BaseException | None = None
                 broken_blocks: list[_Block] = []
                 for future in completed:
                     block = inflight.pop(future)
                     try:
                         block_results = future.result()
-                    except BrokenExecutor as exc:
-                        broken_exc = exc
+                    except BrokenExecutor:
                         broken_blocks.append(block)
                         continue
                     except Exception as exc:  # noqa: BLE001 - fault boundary
@@ -607,14 +580,14 @@ class Scheduler:
                         absorb(job_id, result)
                         emit(labels[job_id])
                 if broken_blocks:
-                    if not owns_pool:
-                        # Shared pools are healed by their owner (the
-                        # serving tier); surface the break to it.
-                        raise broken_exc
-                    # Every other in-flight future died with the pool.
+                    # Every other in-flight future died with the pool;
+                    # cancelling them stops a resubmitting pool from
+                    # running them again behind the probe queue.
+                    for future in inflight:
+                        future.cancel()
                     broken_blocks.extend(inflight.values())
                     inflight.clear()
                     handle_break(broken_blocks)
         finally:
-            if owned is not None:
-                owned.shutdown()
+            if self.pool is None:
+                pool.shutdown()

@@ -29,6 +29,7 @@ with 429 + ``Retry-After`` instead of collapsing — see the "Sharded
 serving" section of DESIGN.md.
 """
 
+from repro.campaigns.pool import ResilientPool
 from repro.serve.cache import ServeCache
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.cluster import (
@@ -37,7 +38,6 @@ from repro.serve.cluster import (
     run_cluster,
 )
 from repro.serve.http import HttpError, HttpRequest
-from repro.serve.pool import ResilientPool
 from repro.serve.server import ServerHandle, run_server, serve, start_in_thread
 from repro.serve.service import (
     AnalysisService,

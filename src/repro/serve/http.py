@@ -148,7 +148,10 @@ async def read_request(
     if len(parts) != 3 or not parts[2].startswith("HTTP/"):
         raise HttpError(400, f"malformed request line: {lines[0]!r}")
     method, target, _version = parts
-    split = urlsplit(target)
+    try:
+        split = urlsplit(target)
+    except ValueError as exc:  # e.g. "http://[" (invalid IPv6 host)
+        raise HttpError(400, f"malformed request target: {exc}") from None
     headers: dict[str, str] = {}
     for line in lines[1:]:
         if not line:

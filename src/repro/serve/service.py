@@ -25,8 +25,10 @@ One :class:`AnalysisService` instance is the whole application state of
   so sequential traffic pays nothing; ``POST /analyze/batch`` carries
   many requests per round trip through the same machinery.
 * **Pool** — with ``workers > 0`` the service owns one
-  ``ProcessPoolExecutor`` shared by single-request jobs *and* submitted
-  campaigns (injected into the :class:`~repro.campaigns.Scheduler`);
+  :class:`~repro.campaigns.pool.ResilientPool` shared by single-request
+  jobs *and* submitted campaigns (injected into the
+  :class:`~repro.campaigns.Scheduler`, which quarantines a job that
+  keeps killing its worker exactly as the CLI does);
   with ``workers == 0`` jobs run on the default thread executor
   (simple, in-process — fine for tests and tiny deployments, but
   GIL-bound).
@@ -50,7 +52,6 @@ import contextlib
 import hashlib
 import threading
 import time
-from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Mapping
@@ -58,6 +59,7 @@ from typing import Any, Callable, Mapping
 from repro import __version__
 from repro.campaigns import registry
 from repro.campaigns.engine import run_campaign
+from repro.campaigns.pool import ResilientPool
 from repro.campaigns.progress import ProgressEvent
 from repro.campaigns.scheduler import RunStats
 from repro.campaigns.spec import CampaignSpec, job_hash, jsonable
@@ -65,7 +67,6 @@ from repro.campaigns.store import ResultStore
 from repro.serve import jobs
 from repro.serve.cache import ServeCache
 from repro.serve.http import HttpError, HttpRequest
-from repro.serve.pool import ResilientPool
 
 
 @dataclass(frozen=True)
@@ -228,9 +229,7 @@ class CampaignStatus:
     def __init__(self, campaign_id: str, spec: CampaignSpec) -> None:
         self.id = campaign_id
         self.spec = spec
-        # pending -> running -> done | failed.  One transient detour:
-        # "failed: worker pool broken (restarted)" while the service
-        # auto-resubmits a pool-break victim from its resumable store.
+        # pending -> running -> done | failed.
         self.state = "pending"
         self.progress: ProgressEvent | None = None
         self.stats: RunStats | None = None
@@ -343,7 +342,6 @@ class AnalysisService:
         #: Resilience counters (``GET /stats`` "resilience" block).
         self.rejected_503 = 0
         self.deadline_timeouts = 0
-        self.campaign_pool_restarts = 0
         #: Overload protection: compute requests admitted right now,
         #: and how many were shed with 429 (``GET /stats`` "overload").
         self.admitted = 0
@@ -511,7 +509,6 @@ class AnalysisService:
                 ),
                 "rejected_503": self.rejected_503,
                 "deadline_timeouts": self.deadline_timeouts,
-                "campaign_pool_restarts": self.campaign_pool_restarts,
                 "draining": self.draining,
             },
             "overload": {
@@ -864,24 +861,9 @@ class AnalysisService:
                 Path(self.config.run_dir) / "campaigns" / status.id[:16]
             )
         try:
-            run = None
-            for attempt in (1, 2):
-                try:
-                    run = await self._run_campaign_on_thread(
-                        status, store, record_progress
-                    )
-                    break
-                except BrokenExecutor as exc:
-                    self.campaign_pool_restarts += 1
-                    if attempt == 2:
-                        raise
-                    # The shared pool broke beyond its self-healing
-                    # budget under this campaign.  Surface the distinct
-                    # transient status and auto-resubmit once: with a
-                    # run_dir the resumable store replays every
-                    # completed job, so only the tail re-runs.
-                    status.error = f"{type(exc).__name__}: {exc}"
-                    status.state = "failed: worker pool broken (restarted)"
+            run = await self._run_campaign_on_thread(
+                status, store, record_progress
+            )
             kind = registry.get_kind(status.spec.kind)
             data = (
                 kind.to_jsonable(status.spec, run.result)
@@ -896,7 +878,6 @@ class AnalysisService:
                 {"job": item.job_id, "label": item.label, **item.error}
                 for item in run.quarantine
             ]
-            status.error = None
             status.state = "done"
         except Exception as exc:  # failed campaigns park, server lives on
             status.error = f"{type(exc).__name__}: {exc}"

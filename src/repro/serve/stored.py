@@ -124,7 +124,7 @@ def read_frame(sock: socket.socket) -> dict | None:
     payload = _recv_exactly(sock, length)
     try:
         doc = json.loads(payload)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise StoreProtocolError(f"frame is not JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise StoreProtocolError("frame must be a JSON object")

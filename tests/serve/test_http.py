@@ -3,6 +3,8 @@
 import asyncio
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.serve.http import (
     HttpError,
@@ -60,9 +62,10 @@ class TestReadRequest:
         assert err.value.status == 400
 
     def test_malformed_request_line_is_400(self):
-        with pytest.raises(HttpError) as err:
-            parse(b"NONSENSE\r\n\r\n")
-        assert err.value.status == 400
+        for raw in (b"NONSENSE\r\n\r\n", b"GET http://[ HTTP/1.1\r\n\r\n"):
+            with pytest.raises(HttpError) as err:
+                parse(raw)
+            assert err.value.status == 400
 
     def test_malformed_header_is_400(self):
         with pytest.raises(HttpError) as err:
@@ -96,6 +99,53 @@ class TestReadRequest:
         with pytest.raises(HttpError) as err:
             parse(raw, limit=1024)
         assert err.value.status == 413
+
+
+#: Request-shaped inputs, so the fuzzer reaches past the request line.
+_TARGET = st.lists(st.sampled_from(
+    [b"/", b"a", b"http://[", b"http://h", b"?a=%ff&b", b"#", b"\xff"]
+), max_size=6).map(b"".join)
+_HEADER = st.sampled_from([
+    b"Host: x", b"Connection: close", b"no-colon", b"Content-Length: 12",
+    b"Content-Length: -1", b"Content-Length: nope",
+    b"Content-Length: " + b"9" * 30, b"Transfer-Encoding: chunked",
+])
+_REQUEST = st.builds(
+    lambda method, target, version, headers, body: (
+        method + b" " + target + b" " + version + b"\r\n"
+        + b"".join(h + b"\r\n" for h in headers) + b"\r\n" + body
+    ),
+    st.sampled_from([b"GET", b"POST", b""]),
+    _TARGET,
+    st.sampled_from([b"HTTP/1.1", b"HTTP/1.0", b"FTP/1"]),
+    st.lists(_HEADER, max_size=4),
+    st.binary(max_size=32),
+)
+_RAW = st.one_of(
+    st.binary(max_size=512),
+    _REQUEST,
+    # Truncated anywhere: torn heads and short bodies.
+    _REQUEST.flatmap(lambda raw: st.integers(0, len(raw)).map(
+        lambda n: raw[:n]
+    )),
+)
+
+
+class TestReadRequestFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(raw=_RAW, limit=st.sampled_from([64, 2 ** 16]),
+           max_body=st.sampled_from([8, 2 ** 20]))
+    def test_arbitrary_bytes_parse_or_documented_error(
+        self, raw, limit, max_body
+    ):
+        """Any byte string yields a request, a clean EOF, or a 4xx/501
+        :class:`HttpError` — never an unhandled exception."""
+        try:
+            request = parse(raw, limit=limit, max_body=max_body)
+        except HttpError as err:
+            assert err.status in (400, 413, 501)
+        else:
+            assert request is None or isinstance(request, HttpRequest)
 
 
 class TestRequestJson:

@@ -1,92 +1,29 @@
-"""The serving tier's fault tolerance: self-healing pool, backpressure,
-request deadlines, graceful drain, and campaign auto-resubmission.
+"""The serving tier's fault tolerance: backpressure, request deadlines,
+graceful drain, and crash quarantine in served campaigns.
 
-Unit tests drive :class:`ResilientPool` directly (kill its workers,
-watch it rebuild and resubmit); the end-to-end tests stand up a real
-server with :func:`start_in_thread` and assert the HTTP-visible
-behaviours — 503 + ``Retry-After`` while the pool rebuilds, 504 on a
-blown request deadline, in-flight requests completing through a drain,
-and a campaign that loses its pool getting the distinct transient
-status and one automatic resubmission.
+Every test stands up a real server with :func:`start_in_thread` and
+asserts the HTTP-visible behaviours — 503 + ``Retry-After`` while the
+pool rebuilds, 504 on a blown request deadline, in-flight requests
+completing through a drain, and a served campaign quarantining a job
+that keeps killing its worker while its siblings complete.  The pool
+itself is unit-tested in ``tests/campaigns/test_pool.py``.
 """
 
 import threading
 import time
-from concurrent.futures import BrokenExecutor
 
 import pytest
 
 from repro.campaigns import registry
 from repro.campaigns.faults import faults_spec
-from repro.serve import (
-    ResilientPool,
-    ServeClient,
-    ServeConfig,
-    ServeError,
-    start_in_thread,
-)
-from repro.serve import service as service_mod
+from repro.campaigns.store import ResultStore, is_error_result
+from repro.serve import ServeClient, ServeConfig, ServeError, start_in_thread
 from repro.workloads.didactic import didactic_flowset
-
-
-def square(x):
-    return x * x
 
 
 @pytest.fixture
 def flowset():
     return didactic_flowset(buf=2)
-
-
-class TestResilientPool:
-    def test_roundtrip(self):
-        pool = ResilientPool(2)
-        try:
-            assert pool.submit(square, 7).result(timeout=30) == 49
-            assert pool.rebuilds == 0
-        finally:
-            pool.shutdown()
-
-    def test_killed_workers_rebuild_transparently(self):
-        pool = ResilientPool(2, cooldown_s=0.2)
-        try:
-            assert pool.submit(square, 2).result(timeout=30) == 4
-            pool.kill_workers()
-            # The next submit hits the broken pool, heals it, and still
-            # returns the right answer — callers never see the break.
-            assert pool.submit(square, 3).result(timeout=30) == 9
-            assert pool.rebuilds >= 1
-            assert pool.resubmits >= 1
-        finally:
-            pool.shutdown()
-
-    def test_rebuilding_window_reports_backpressure(self):
-        pool = ResilientPool(1, cooldown_s=30.0)
-        try:
-            assert pool.submit(square, 1).result(timeout=30) == 1
-            assert not pool.rebuilding
-            pool.kill_workers()
-            assert pool.submit(square, 2).result(timeout=30) == 4
-            assert pool.rebuilding
-            assert pool.rebuilding_for > 0
-        finally:
-            pool.shutdown()
-
-    def test_resubmit_budget_exhausts_to_caller(self):
-        pool = ResilientPool(1, max_resubmits=0, cooldown_s=0.1)
-        try:
-            assert pool.submit(square, 1).result(timeout=30) == 1
-            pool.kill_workers()
-            with pytest.raises(BrokenExecutor):
-                pool.submit(square, 2).result(timeout=30)
-        finally:
-            pool.shutdown()
-
-    def test_submit_after_shutdown_rejected(self):
-        pool = ResilientPool(1)
-        pool.shutdown()
-        with pytest.raises(RuntimeError):
-            pool.submit(square, 1)
 
 
 class TestRebuildBackpressure:
@@ -209,57 +146,38 @@ class TestWaitCampaign:
             client.wait_campaign("abc", timeout=0.05, poll_s=0.01)
 
 
-class TestCampaignPoolBreak:
-    def test_broken_pool_resubmits_once_with_transient_status(
-        self, monkeypatch
+class TestServedCampaignCrash:
+    def test_repeat_killer_quarantined_server_keeps_answering(
+        self, tmp_path, flowset
     ):
-        calls = {"n": 0}
-        gate = threading.Event()
-        real = service_mod.run_campaign
-
-        def flaky_run(spec, **kwargs):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                raise BrokenExecutor("worker pool is broken")
-            gate.wait(10)
-            return real(spec, **kwargs)
-
-        monkeypatch.setattr(service_mod, "run_campaign", flaky_run)
-        spec = faults_spec([{"key": "a", "value": 1}], name="pool_break")
-        with start_in_thread(ServeConfig(port=0, workers=0)) as handle:
+        """A served campaign quarantines a job that keeps killing its
+        worker, exactly as the CLI does, instead of failing whole."""
+        spec = faults_spec(
+            [{"key": "bomb", "mode": "kill"},
+             {"key": "a", "value": 1}, {"key": "b", "value": 2}],
+            name="served_crash",
+        )
+        config = ServeConfig(port=0, workers=2, rebuild_cooldown_s=0.05,
+                             run_dir=str(tmp_path))
+        with start_in_thread(config) as handle:
             with ServeClient(handle.host, handle.port) as client:
                 cid = client.submit_campaign(spec)["id"]
-                # Attempt 1 broke the pool: the distinct transient
-                # status is visible until the resubmission finishes.
-                deadline = time.monotonic() + 10
-                while time.monotonic() < deadline:
-                    state = client.campaign(cid)["state"]
-                    if state == "failed: worker pool broken (restarted)":
-                        break
-                    time.sleep(0.01)
-                else:
-                    pytest.fail("transient broken-pool status never seen")
-                gate.set()
-                status = client.wait_campaign(cid, timeout=30, poll_s=0.01)
-                assert status["state"] == "done"
-                assert calls["n"] == 2
-                stats = client.stats()
-                assert stats["resilience"]["campaign_pool_restarts"] == 1
-
-    def test_pool_broken_twice_fails_for_good(self, monkeypatch):
-        def always_broken(spec, **kwargs):
-            raise BrokenExecutor("worker pool is broken")
-
-        monkeypatch.setattr(service_mod, "run_campaign", always_broken)
-        spec = faults_spec([{"key": "a", "value": 1}], name="pool_dead")
-        with start_in_thread(ServeConfig(port=0, workers=0)) as handle:
-            with ServeClient(handle.host, handle.port) as client:
-                cid = client.submit_campaign(spec)["id"]
-                status = client.wait_campaign(cid, timeout=30, poll_s=0.01)
-                assert status["state"] == "failed"
-                assert "BrokenExecutor" in status["error"]
-                stats = client.stats()
-                assert stats["resilience"]["campaign_pool_restarts"] == 2
+                status = client.wait_campaign(cid, timeout=120, poll_s=0.05)
+                assert status["state"] == "done", status["error"]
+                assert status["partial"] is True
+                [item] = status["quarantine"]
+                assert item["label"] == "fault bomb"
+                assert item["reason"] == "crash"
+                assert status["stats"]["jobs_run"] == 2
+                stored = ResultStore(
+                    tmp_path / "campaigns" / cid[:16]
+                ).load().values()
+                values = {doc["key"]: doc["value"] for doc in stored
+                          if not is_error_result(doc)}
+                assert values == {"a": 1, "b": 2}
+                # The healed shared pool still serves requests.
+                time.sleep(handle.service.pool.rebuilding_for)
+                assert "schedulable" in client.analyze(flowset, buf=1)
 
 
 class TestPartialCampaignStatus:

@@ -10,18 +10,33 @@ dead shard reads as a miss and buffers writes instead of erroring.
 
 import json
 import socket
+import struct
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.serve.stored import (
     HashRing,
     RemoteStore,
     StoreClient,
     StoreDaemon,
+    StoreProtocolError,
     StoreUnavailable,
     read_frame,
     write_frame,
+)
+
+#: Frame payloads: raw bytes, UTF-8 text, and well-formed JSON values.
+_PAYLOAD = st.one_of(
+    st.binary(max_size=64),
+    st.text(max_size=32).map(str.encode),
+    st.one_of(
+        st.dictionaries(st.text(max_size=4), st.integers(), max_size=3),
+        st.lists(st.integers(), max_size=3),
+        st.integers(),
+    ).map(lambda value: json.dumps(value).encode()),
 )
 
 
@@ -56,6 +71,27 @@ class TestFraming:
         try:
             assert read_frame(b) is None
         finally:
+            b.close()
+
+    @settings(max_examples=200, deadline=None)
+    @given(header=st.one_of(st.none(), st.binary(max_size=4)),
+           payload=_PAYLOAD)
+    def test_arbitrary_frames_parse_or_protocol_error(self, header, payload):
+        """Any length header plus payload reads as a dict, a clean close,
+        or a documented protocol/connection error — nothing else."""
+        if header is None:
+            header = struct.pack(">I", len(payload))  # well-framed
+        a, b = socket.socketpair()
+        try:
+            a.sendall(header + payload)
+            a.close()
+            try:
+                doc = read_frame(b)
+            except (StoreProtocolError, ConnectionError):
+                return
+            assert doc is None or isinstance(doc, dict)
+        finally:
+            a.close()
             b.close()
 
 
@@ -131,6 +167,13 @@ class TestStoreDaemon:
         hashes = [json.loads(line)["job"] for line in lines]
         assert sorted(hashes) == sorted(set(hashes))  # no duplicates
         assert len(hashes) == 20
+
+    def test_undecodable_frame_counts_as_protocol_error(self, daemon):
+        with socket.create_connection((daemon.host, daemon.port),
+                                      timeout=5) as conn:
+            conn.sendall(struct.pack(">I", 1) + b"\xff")
+            assert conn.recv(1) == b""  # the daemon hung up on us
+        assert daemon.protocol_errors == 1
 
     def test_unknown_op_is_an_error_reply(self, client):
         reply = client.request({"op": "explode"})

@@ -160,6 +160,17 @@ class TestMain:
         ])
         assert bench_regress.main(["--file", str(target)]) == 0
 
+    def test_creep_across_same_label_entries_fails(self, tmp_path, capsys):
+        """Three entries each 15% slower on one metric: every step is
+        under the threshold, the accumulated 52% is not."""
+        target = self._write(tmp_path, [
+            entry("smoke", f"r{i}", fig4_ci_s=1.15 ** i) for i in range(4)
+        ])
+        assert bench_regress.main(["--file", str(target)]) == 1
+        out = capsys.readouterr().out
+        assert "REGRESSION smoke@r0 -> smoke@r3" in out
+        assert "ok (smoke@r2 -> smoke@r3" in out
+
     def test_compares_latest_two_only(self, tmp_path):
         target = self._write(tmp_path, [
             entry("a", "r1", fig4_ci_s=0.1),  # ancient and fast

@@ -1,8 +1,10 @@
 """Gate on the BENCH_engine.json trajectory: no silent perf regressions.
 
-Compares the two most recent entries of ``BENCH_engine.json`` and
-fails (exit 1) when any tracked metric regressed by more than the
-threshold (default 20%).  Wired into ``make smoke`` so a PR whose
+Compares the latest entry of ``BENCH_engine.json`` against each of the
+last :data:`BASELINES` earlier entries with the same label and fails
+(exit 1) when any tracked metric regressed by more than the threshold
+(default 20%) against any of them — so a creep of 15% per entry trips
+the gate within two entries instead of never.  Wired into ``make smoke`` so a PR whose
 bench run slowed a hot path down cannot land quietly; run it any time
 with::
 
@@ -72,6 +74,9 @@ TRACKED = (
 #: Wall-clock values smaller than these floors are all scheduler noise;
 #: comparisons against them would make the gate flaky.
 FLOORS = {"ms": 1.0, "s": 0.05}
+
+#: Same-label entries the latest one is compared against.
+BASELINES = 3
 
 #: Minimum speed-dependent metrics shared by both entries before the
 #: machine-drift estimate is trusted; below this, compare raw.
@@ -185,26 +190,28 @@ def compare(previous: dict, latest: dict, threshold: float) -> list[str]:
     return problems
 
 
-def baseline_for(history: list) -> dict:
-    """The newest earlier entry comparable to the latest one.
+def baselines_for(history: list) -> list[dict]:
+    """The earlier entries comparable to the latest one, newest first.
 
-    Prefer the latest entry's own label (``smoke`` entries always
-    compare against the previous smoke run, whatever ad-hoc
-    ``bench-record LABEL=...`` entries — possibly taken at another
-    scale or under load — were appended in between); fall back to the
+    Up to :data:`BASELINES` entries with the latest entry's own label
+    (``smoke`` entries compare against previous smoke runs, whatever
+    ad-hoc ``bench-record LABEL=...`` entries — possibly taken at
+    another scale or under load — were appended in between); the
     immediately preceding entry only when the label has no history.
     """
     latest = history[-1]
-    for entry in reversed(history[:-1]):
-        if entry.get("label") == latest.get("label"):
-            return entry
-    return history[-2]
+    same_label = [
+        entry for entry in reversed(history[:-1])
+        if entry.get("label") == latest.get("label")
+    ]
+    return same_label[:BASELINES] or [history[-2]]
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        description="fail when the two latest bench entries show a "
-        "tracked metric regressing beyond the threshold"
+        description="fail when the latest bench entry shows a tracked "
+        "metric regressing beyond the threshold against any of the last "
+        f"{BASELINES} same-label entries"
     )
     parser.add_argument(
         "--threshold", type=float, default=0.20,
@@ -226,28 +233,31 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 0
     latest = history[-1]
-    previous = baseline_for(history)
-    problems = compare(previous, latest, args.threshold)
-    label = (
-        f"{previous.get('label')}@{previous.get('revision')} -> "
-        f"{latest.get('label')}@{latest.get('revision')}"
-    )
-    drift, samples = machine_drift(previous, latest)
-    if abs(drift - 1.0) > 0.05:
-        print(
-            f"bench-regress: machine drift x{drift:.2f} "
-            f"(median of {samples} speed metrics) normalised out"
+    failed = False
+    for previous in baselines_for(history):
+        problems = compare(previous, latest, args.threshold)
+        label = (
+            f"{previous.get('label')}@{previous.get('revision')} -> "
+            f"{latest.get('label')}@{latest.get('revision')}"
         )
-    if problems:
-        print(f"bench-regress: REGRESSION {label}")
-        for problem in problems:
-            print(f"  {problem}")
-        return 1
-    print(
-        f"bench-regress: ok ({label}, "
-        f"threshold {args.threshold * 100:.0f}%)"
-    )
-    return 0
+        drift, samples = machine_drift(previous, latest)
+        if abs(drift - 1.0) > 0.05:
+            print(
+                f"bench-regress: machine drift x{drift:.2f} "
+                f"(median of {samples} speed metrics) normalised out "
+                f"({label})"
+            )
+        if problems:
+            failed = True
+            print(f"bench-regress: REGRESSION {label}")
+            for problem in problems:
+                print(f"  {problem}")
+        else:
+            print(
+                f"bench-regress: ok ({label}, "
+                f"threshold {args.threshold * 100:.0f}%)"
+            )
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
