@@ -38,8 +38,9 @@ campaign-smoke:
 docs-check:
 	$(PYTHON) tools/docs_check.py
 
-## Compare the latest BENCH_engine.json entry with the last 3 of its label; fail on a >20%
-## regression in any tracked metric (pure file read, no benchmarks run).
+## Compare the latest BENCH_engine.json entry with the last 3 of its label
+## and backend; fail on a >20% regression in any tracked metric (pure
+## file read, no benchmarks run).
 bench-regress:
 	$(PYTHON) tools/bench_regress.py
 
@@ -59,10 +60,31 @@ cluster-smoke:
 ## Backend seam smoke: the `repro backend` diagnostic (with its timed
 ## micro-probe) plus the two ≥3x speedup gates — which skip themselves,
 ## and leave the target green, on hosts where the C extension cannot
-## build (numpy is always available).
+## build (numpy is always available).  Then the smoke campaign runs
+## once on the numpy oracle and once on the default backend (cext
+## where it loads), and the CSV and JSON exports must be byte-identical
+## (the JSON's run-time `elapsed_s` line aside).
+## REPRO_BATCH_MIN_FLOWS=1 sends every round through the batch kernel,
+## which the smoke campaign's small rounds would otherwise skip.
+BACKEND_SMOKE_DIR ?= .backend-smoke
 backend-smoke:
 	$(PYTHON) -m repro backend --probe
 	$(PYTHON) -m pytest benchmarks/bench_backend.py -q
+	rm -rf $(BACKEND_SMOKE_DIR)
+	REPRO_BACKEND=numpy REPRO_BATCH_MIN_FLOWS=1 $(PYTHON) -m repro campaign \
+		examples/specs/campaign_smoke.json \
+		--run-dir $(BACKEND_SMOKE_DIR)/numpy/run \
+		--csv-dir $(BACKEND_SMOKE_DIR)/numpy \
+		--json-dir $(BACKEND_SMOKE_DIR)/numpy
+	env -u REPRO_BACKEND REPRO_BATCH_MIN_FLOWS=1 $(PYTHON) -m repro campaign \
+		examples/specs/campaign_smoke.json \
+		--run-dir $(BACKEND_SMOKE_DIR)/default/run \
+		--csv-dir $(BACKEND_SMOKE_DIR)/default \
+		--json-dir $(BACKEND_SMOKE_DIR)/default
+	cmp $(BACKEND_SMOKE_DIR)/numpy/campaign_smoke.csv \
+		$(BACKEND_SMOKE_DIR)/default/campaign_smoke.csv
+	diff -I '"elapsed_s"' $(BACKEND_SMOKE_DIR)/numpy/campaign_smoke.json \
+		$(BACKEND_SMOKE_DIR)/default/campaign_smoke.json
 
 ## The full smoke path: tier-1 tests, executable documentation, the
 ## fault-injection scenarios (cluster kills included), the cluster

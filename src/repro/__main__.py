@@ -339,9 +339,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--backend", default=None, metavar="NAME",
-        help="compute backend for every command (numpy or cext); "
-             "overrides REPRO_BACKEND, falls back to numpy when the "
-             "compiled extension is unavailable",
+        help="compute backend for every command (numpy or cext; "
+             "default cext); overrides REPRO_BACKEND, falls back to "
+             "numpy when the compiled extension is unavailable",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -501,7 +501,8 @@ def main(argv: list[str] | None = None) -> int:
     p_serve.add_argument(
         "--backend", default=None, metavar="NAME",
         help="compute backend for the service and its workers "
-             "(numpy or cext; default: REPRO_BACKEND or numpy)",
+             "(numpy or cext; default: REPRO_BACKEND, else cext "
+             "falling back to numpy)",
     )
     p_serve.set_defaults(func=cmd_serve)
 

@@ -12,12 +12,12 @@ found, in order:
    ``_kernels-abi<N>-<hash>.so`` — the hash covers the C source, so a
    stale cache entry is simply never matched;
 3. failing both, the source is compiled on demand with ``$CC``/
-   ``gcc``/``cc`` into the cache directory (or next to the source when
-   that is writable and the cache is not).
+   ``gcc``/``cc`` into the cache directory.
 
 Every loaded artifact must report the expected ABI stamp through
 ``repro_abi_version()``; anything else (an old build, a truncated
-file) is rejected and the next candidate is tried.  All failures raise
+file) is rejected and the next candidate is tried.  All failures —
+an unwritable cache directory included — raise
 :class:`KernelBuildError` with enough detail for ``repro backend`` to
 display; the backend layer turns that into the single fallback
 warning.
@@ -114,12 +114,17 @@ def build(target: Path | None = None) -> Path:
         raise KernelBuildError("no C compiler found (set CC, or install gcc)")
     if target is None:
         target = cache_dir() / f"_kernels-abi{KERNELS_ABI}-{_source_hash()}.so"
-    target.parent.mkdir(parents=True, exist_ok=True)
     # Build into a temp name then rename: concurrent builders (pool
     # workers racing on a cold cache) each win or lose atomically.
-    fd, tmp = tempfile.mkstemp(
-        suffix=".so", prefix=target.stem + ".", dir=str(target.parent)
-    )
+    try:
+        target.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(
+            suffix=".so", prefix=target.stem + ".", dir=str(target.parent)
+        )
+    except OSError as exc:
+        raise KernelBuildError(
+            f"cannot write kernel cache {target.parent}: {exc}"
+        ) from exc
     os.close(fd)
     cmd = [cc, *_CFLAGS, str(SOURCE), "-o", tmp]
     try:
@@ -135,7 +140,11 @@ def build(target: Path | None = None) -> Path:
         raise KernelBuildError(
             f"{cc} exited {proc.returncode}: " + " | ".join(tail)
         )
-    os.replace(tmp, target)
+    try:
+        os.replace(tmp, target)
+    except OSError as exc:
+        os.unlink(tmp)
+        raise KernelBuildError(f"cannot install {target}: {exc}") from exc
     return target
 
 

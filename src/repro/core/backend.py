@@ -12,9 +12,9 @@ A *backend* optionally accelerates the hot loops with compiled code:
 
 Both hooks are *optional*: a backend exposing ``None`` for a kernel
 leaves the caller on its built-in numpy/Python path.  The ``numpy``
-backend (the default) provides no kernels at all — it *is* the built-in
-path; ``cext`` loads the C library built from ``core/_kernels.c`` (see
-:mod:`repro.core._cbuild`).
+backend (the oracle and the fallback) provides no kernels at all — it
+*is* the built-in path; ``cext`` (the default) loads the C library
+built from ``core/_kernels.c`` (see :mod:`repro.core._cbuild`).
 
 **Byte-identity is the contract.**  Every kernel must produce results
 byte-identical to the built-in path (the equivalence suites are
@@ -23,7 +23,10 @@ fallback safe: selecting an unavailable backend degrades to numpy with
 a single warning and *identical* results, differing only in speed.
 
 Selection order: an explicit :func:`set_backend` call beats the
-``REPRO_BACKEND`` environment variable beats the default (``numpy``).
+``REPRO_BACKEND`` environment variable beats the default (``cext``,
+which degrades to ``numpy`` with the same single warning when the C
+library cannot be loaded or built; ``REPRO_BACKEND=numpy`` runs the
+oracle).
 ``set_backend`` also writes ``REPRO_BACKEND`` back into ``os.environ``
 so worker processes — forked *or* spawned — inherit the choice; the
 campaign scheduler additionally ships the name inside each job block
@@ -44,7 +47,8 @@ except ImportError:  # pragma: no cover - the toolchain ships numpy
     _np = None
 
 ENV_VAR = "REPRO_BACKEND"
-DEFAULT_NAME = "numpy"
+DEFAULT_NAME = "cext"
+FALLBACK_NAME = "numpy"
 
 
 class Backend:
@@ -70,7 +74,7 @@ class Backend:
 
 
 class NumpyBackend(Backend):
-    """The default: the pure numpy/Python implementations themselves."""
+    """The oracle and the fallback: the built-in numpy/Python paths."""
 
     name = "numpy"
 
@@ -377,19 +381,19 @@ def _resolve(name: str | None, *, strict: bool) -> Backend:
             f"(registered: {', '.join(_REGISTRY)}); using numpy",
             f"unknown:{requested}",
         )
-        return _REGISTRY[DEFAULT_NAME]
+        return _REGISTRY[FALLBACK_NAME]
     if not backend.available():
         _warn_once(
             f"backend {requested!r} unavailable ({backend.detail()}); "
             "falling back to numpy",
             f"unavailable:{requested}",
         )
-        return _REGISTRY[DEFAULT_NAME]
+        return _REGISTRY[FALLBACK_NAME]
     return backend
 
 
 def get_backend() -> Backend:
-    """The active backend (resolving ``REPRO_BACKEND`` on first use)."""
+    """The active backend (``REPRO_BACKEND``, else ``cext``, on first use)."""
     global _ACTIVE
     if _ACTIVE is None:
         _ACTIVE = _resolve(os.environ.get(ENV_VAR), strict=False)

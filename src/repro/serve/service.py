@@ -136,8 +136,9 @@ class ServeConfig:
     #: ``Retry-After`` hint (seconds) on shed 429 responses.
     shed_retry_after_s: float = 1.0
     #: Compute backend for this service and its worker pool (``numpy``
-    #: or ``cext``; ``None`` keeps ``REPRO_BACKEND``/numpy).  Selection
-    #: is exported into the environment, so pool workers inherit it.
+    #: or ``cext``; ``None`` keeps ``REPRO_BACKEND``, else the ``cext``
+    #: default).  Selection is exported into the environment, so pool
+    #: workers inherit it.
     backend: str | None = None
 
     def __post_init__(self) -> None:

@@ -3,8 +3,9 @@
 The seam's safety story is that picking a backend can never change a
 result — unknown or broken backends degrade to numpy with one warning
 and byte-identical output.  These tests exercise the registry and
-selection order (explicit call > ``REPRO_BACKEND`` > default), the
-broken-extension fallback path with a deliberately failing loader, the
+selection order (explicit call > ``REPRO_BACKEND`` > the ``cext``
+default), the broken-extension fallback path with a deliberately
+failing loader and with an unwritable kernel cache, the
 ``repro backend`` CLI diagnostic, the serve config validation, the
 tiny-round threshold tunable, and a direct fuzz of the C ``solve_rows``
 kernel against its numpy oracle.
@@ -17,7 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import _cbuild
 from repro.core import backend as backend_mod
+from repro.core._cbuild import KernelBuildError
 from repro.core.backend import (
     Backend,
     CextBackend,
@@ -75,6 +78,12 @@ def _broken_cext():
     return CextBackend(loader=loader)
 
 
+class _LoadedCext(Backend):
+    """Stands in for a ``cext`` whose library loaded, on any host."""
+
+    name = "cext"
+
+
 class TestRegistry:
     def test_builtin_backends_registered(self):
         names = registered_backend_names()
@@ -102,8 +111,20 @@ class TestRegistry:
 
 
 class TestSelection:
-    def test_default_is_numpy(self):
-        assert get_backend().name == "numpy"
+    def test_default_is_cext_when_it_loads(self):
+        loads = backend_mod._REGISTRY["cext"].available()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # no compiler
+            assert get_backend().name == ("cext" if loads else "numpy")
+
+    def test_explicit_numpy_is_silent_when_cext_loads(self, monkeypatch):
+        register_backend(_LoadedCext(), replace=True)
+        assert get_backend().name == "cext"
+        monkeypatch.setenv(backend_mod.ENV_VAR, "numpy")
+        backend_mod._reset_for_tests()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert get_backend().name == "numpy"
 
     def test_env_var_selects(self, monkeypatch):
         monkeypatch.setenv(backend_mod.ENV_VAR, "numpy")
@@ -162,6 +183,43 @@ class TestBrokenExtensionFallback:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert set_backend("cext").name == "numpy"  # warned once only
+
+    def test_default_falls_back_to_numpy_with_one_warning(self):
+        register_backend(_broken_cext(), replace=True)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert get_backend().name == "numpy"
+            backend_mod._ACTIVE = None  # force re-resolution
+            assert get_backend().name == "numpy"
+        assert [w.category for w in caught] == [RuntimeWarning]
+        assert "simulated build failure" in str(caught[0].message)
+        flowset = _flowset(20, seed=3)
+        batch = analyze_batch([Scenario(flowset, IBNAnalysis())])[0]
+        cold = analyze(flowset, IBNAnalysis())
+        assert batch.flows == cold.flows
+        assert batch.complete == cold.complete
+
+    def test_unwritable_kernel_cache_degrades_to_numpy(
+        self, tmp_path, monkeypatch
+    ):
+        # A private copy of the source has no prebuilt artifact beside
+        # it, and a cache path under a regular file cannot be created.
+        source = tmp_path / "pkg" / "_kernels.c"
+        source.parent.mkdir()
+        source.write_bytes(_cbuild.SOURCE.read_bytes())
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("")
+        monkeypatch.setattr(_cbuild, "SOURCE", source)
+        monkeypatch.setattr(_cbuild, "compiler", lambda: "cc")
+        monkeypatch.setenv("REPRO_KERNEL_CACHE", str(blocker / "sub"))
+        with pytest.raises(KernelBuildError, match="cannot write kernel"):
+            _cbuild.load()
+        register_backend(CextBackend(), replace=True)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert get_backend().name == "numpy"
+        assert [w.category for w in caught] == [RuntimeWarning]
+        assert "cannot write kernel cache" in str(caught[0].message)
 
     def test_fallback_results_identical_to_scalar(self):
         register_backend(_broken_cext(), replace=True)

@@ -9,8 +9,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 import bench_regress  # noqa: E402  (path set up above)
 
 
-def entry(label, revision, **metrics):
-    return {"label": label, "revision": revision, "metrics": metrics}
+def entry(label, revision, backend=None, **metrics):
+    record = {"label": label, "revision": revision, "metrics": metrics}
+    if backend is not None:
+        record["backend"] = backend
+    return record
 
 
 class TestCompare:
@@ -170,6 +173,32 @@ class TestMain:
         out = capsys.readouterr().out
         assert "REGRESSION smoke@r0 -> smoke@r3" in out
         assert "ok (smoke@r2 -> smoke@r3" in out
+
+    def test_baselines_share_the_latest_backend(self, tmp_path, capsys):
+        """A host that falls back to numpy compares with numpy history
+        (entries from before the seam count as numpy), not with the
+        faster cext entries in between."""
+        history = [
+            entry("smoke", "r1", fig4_ci_s=1.0),
+            entry("smoke", "r2", "cext", fig4_ci_s=0.3),
+            entry("smoke", "r3", "cext", fig4_ci_s=0.31),
+            entry("smoke", "r4", "numpy", fig4_ci_s=1.05),
+        ]
+        assert bench_regress.baselines_for(history) == [history[0]]
+        assert bench_regress.baselines_for(history[:3]) == [history[1]]
+        target = self._write(tmp_path, history)
+        assert bench_regress.main(["--file", str(target)]) == 0
+        assert "ok (smoke@r1 -> smoke@r4" in capsys.readouterr().out
+
+    def test_first_entry_of_a_backend_is_not_gated(self, tmp_path, capsys):
+        target = self._write(tmp_path, [
+            entry("smoke", "r1", "numpy", fig4_ci_s=0.2),
+            entry("smoke", "r2", "cext", fig4_ci_s=1.0),
+        ])
+        assert bench_regress.main(["--file", str(target)]) == 0
+        out = capsys.readouterr().out
+        assert "no earlier cext entry to compare smoke@r2" in out
+        assert "REGRESSION" not in out
 
     def test_compares_latest_two_only(self, tmp_path):
         target = self._write(tmp_path, [

@@ -1,7 +1,8 @@
 """Gate on the BENCH_engine.json trajectory: no silent perf regressions.
 
 Compares the latest entry of ``BENCH_engine.json`` against each of the
-last :data:`BASELINES` earlier entries with the same label and fails
+last :data:`BASELINES` earlier entries with the same label and backend
+(the C kernels and the numpy oracle are different trajectories) and fails
 (exit 1) when any tracked metric regressed by more than the threshold
 (default 20%) against any of them — so a creep of 15% per entry trips
 the gate within two entries instead of never.  Wired into ``make smoke`` so a PR whose
@@ -190,28 +191,42 @@ def compare(previous: dict, latest: dict, threshold: float) -> list[str]:
     return problems
 
 
+def backend_of(entry: dict) -> str:
+    """The backend an entry was recorded on; entries from before the
+    backend seam carry no ``backend`` key and ran the numpy paths."""
+    return entry.get("backend") or "numpy"
+
+
 def baselines_for(history: list) -> list[dict]:
     """The earlier entries comparable to the latest one, newest first.
 
-    Up to :data:`BASELINES` entries with the latest entry's own label
-    (``smoke`` entries compare against previous smoke runs, whatever
-    ad-hoc ``bench-record LABEL=...`` entries — possibly taken at
-    another scale or under load — were appended in between); the
-    immediately preceding entry only when the label has no history.
+    Only entries recorded on the latest entry's backend qualify: a
+    first ``cext`` run is not a speedup over ``numpy`` history, and a
+    host that falls back to numpy is not a regression against ``cext``.
+    Among those, up to :data:`BASELINES` entries with the latest
+    entry's own label (``smoke`` entries compare against previous smoke
+    runs, whatever ad-hoc ``bench-record LABEL=...`` entries — possibly
+    taken at another scale or under load — were appended in between);
+    the immediately preceding one only when the label has no history.
+    Empty when the backend has no history at all.
     """
     latest = history[-1]
-    same_label = [
+    same_backend = [
         entry for entry in reversed(history[:-1])
+        if backend_of(entry) == backend_of(latest)
+    ]
+    same_label = [
+        entry for entry in same_backend
         if entry.get("label") == latest.get("label")
     ]
-    return same_label[:BASELINES] or [history[-2]]
+    return same_label[:BASELINES] or same_backend[:1]
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         description="fail when the latest bench entry shows a tracked "
         "metric regressing beyond the threshold against any of the last "
-        f"{BASELINES} same-label entries"
+        f"{BASELINES} same-label, same-backend entries"
     )
     parser.add_argument(
         "--threshold", type=float, default=0.20,
@@ -233,8 +248,16 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 0
     latest = history[-1]
+    baselines = baselines_for(history)
+    if not baselines:
+        print(
+            f"bench-regress: no earlier {backend_of(latest)} entry to "
+            f"compare {latest.get('label')}@{latest.get('revision')} "
+            "against; nothing to gate"
+        )
+        return 0
     failed = False
-    for previous in baselines_for(history):
+    for previous in baselines:
         problems = compare(previous, latest, args.threshold)
         label = (
             f"{previous.get('label')}@{previous.get('revision')} -> "
