@@ -391,8 +391,8 @@ def dedupe(history: list) -> list:
     identical-looking ``smoke`` entries; the trajectory only needs the
     freshest numbers per revision, while entries from other revisions
     (the actual milestones) are never touched.  Runs recorded under
-    different active backends (``repro --backend ...`` sessions) are
-    distinct measurements and all survive.
+    different active backends (sessions run with different
+    ``REPRO_BACKEND`` values) are distinct measurements and all survive.
     """
     def key(entry: dict):
         return entry.get("label"), entry.get("revision"), entry.get("backend")

@@ -1,12 +1,10 @@
-"""Setuptools shim.
+"""Package metadata for ``pip install -e .`` (or the legacy
+``pip install -e . --no-use-pep517`` on offline hosts without ``wheel``).
 
-All metadata lives in pyproject.toml; this file exists so that the legacy
-editable-install path (``pip install -e . --no-use-pep517``) works in
-offline environments that lack the ``wheel`` package.
-
-It also declares the optional C extension behind the backend seam:
-``python setup.py build_ext --inplace`` compiles ``core/_kernels.c``
-into an importable artifact.  The extension is marked ``optional`` —
+numpy is the one runtime dependency.  The file also declares the
+optional C extension behind the backend seam: ``python setup.py
+build_ext --inplace`` compiles ``core/_kernels.c`` into an importable
+artifact.  The extension is marked ``optional`` —
 a host without a C toolchain still installs fine, and the runtime
 (:mod:`repro.core._cbuild`) builds or loads the kernels on demand via
 ctypes anyway, so this path is a convenience, never a requirement.
@@ -18,6 +16,7 @@ setup(
     name="repro",
     package_dir={"": "src"},
     packages=find_packages("src"),
+    install_requires=["numpy"],
     ext_modules=[
         Extension(
             "repro.core._kernels",

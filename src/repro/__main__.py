@@ -13,7 +13,7 @@ Usage::
     python -m repro cluster --frontends 4 --port 8177     # sharded cluster
     python -m repro stored cluster-state/shard-00         # one store shard
     python -m repro backend --probe                       # backend status
-    python -m repro --backend cext analyze traffic.json   # compiled kernels
+    REPRO_BACKEND=numpy python -m repro analyze traffic.json  # numpy oracle
 
 ``analyze`` reads the JSON format of :mod:`repro.io`; ``experiments``
 forwards to :mod:`repro.experiments.runner` (its ``validate`` campaign
@@ -278,7 +278,6 @@ def cmd_serve(args) -> int:
             drain_timeout_s=args.drain_timeout,
             store_addrs=tuple(args.store),
             max_inflight=args.max_inflight,
-            backend=args.backend,
         )
     except ValueError as exc:
         print(f"serve: {exc}", file=sys.stderr)
@@ -336,12 +335,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Worst-case NoC latency analysis (DATE'18 IBN reproduction)",
-    )
-    parser.add_argument(
-        "--backend", default=None, metavar="NAME",
-        help="compute backend for every command (numpy or cext; "
-             "default cext); overrides REPRO_BACKEND, falls back to "
-             "numpy when the compiled extension is unavailable",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -498,12 +491,6 @@ def main(argv: list[str] | None = None) -> int:
         help="admission bound on concurrent compute requests; beyond it "
              "requests are shed with 429 + Retry-After (0 = unbounded)",
     )
-    p_serve.add_argument(
-        "--backend", default=None, metavar="NAME",
-        help="compute backend for the service and its workers "
-             "(numpy or cext; default: REPRO_BACKEND, else cext "
-             "falling back to numpy)",
-    )
     p_serve.set_defaults(func=cmd_serve)
 
     p_backend = sub.add_parser(
@@ -636,14 +623,6 @@ def main(argv: list[str] | None = None) -> int:
     p_stored.set_defaults(func=cmd_stored)
 
     args = parser.parse_args(argv)
-    if args.backend is not None:
-        from repro.core import backend as backend_mod
-
-        try:
-            backend_mod.set_backend(args.backend)
-        except ValueError as exc:
-            print(f"--backend: {exc}", file=sys.stderr)
-            return 2
     if args.command == "experiments":
         from repro.experiments.runner import main as runner_main
 

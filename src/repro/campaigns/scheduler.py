@@ -60,7 +60,6 @@ from typing import Any, Mapping, Sequence
 from repro.campaigns import registry
 from repro.campaigns.pool import ResilientPool
 from repro.campaigns.progress import Progress, ProgressEvent
-from repro.core import backend as backend_module
 from repro.campaigns.store import MemoryStore, error_result, is_error_result
 from repro.noc.platform import NoCPlatform
 from repro.noc.routing import RoutingFunction, XYRouting, YXRouting
@@ -109,20 +108,18 @@ _BLOCK_JOB_CAP = 24
 
 
 def _pool_execute_block(
-    payload: tuple[str, str | None, list[tuple[str, dict]]]
+    payload: tuple[str, list[tuple[str, dict]]]
 ) -> list[tuple[str, Any]]:
     """Worker entry point: run one same-kind block of jobs.
 
     One pickle each way per *block* instead of per job; kinds with a
     registered block executor additionally batch the block's scenarios
     through the columnar kernel.  Results come back keyed by content
-    address, so completion order never matters.  The coordinator's
-    compute-backend choice rides along with every block: environment
-    inheritance covers fork-started pools, the explicit name covers
-    spawn and any pool living longer than a ``set_backend`` call.
+    address, so completion order never matters.  Workers pick their
+    compute backend from the ``REPRO_BACKEND`` they inherit (fork and
+    spawn alike), so they agree with the coordinator.
     """
-    kind, backend_name, items = payload
-    backend_module.apply_worker_backend(backend_name)
+    kind, items = payload
     results = registry.execute_block(kind, [params for _, params in items])
     return [(job_id, result) for (job_id, _), result in zip(items, results)]
 
@@ -423,8 +420,7 @@ class Scheduler:
                 block.deadline = time.monotonic() + policy.job_timeout_s
             future = pool.submit(
                 _pool_execute_block,
-                (block.kind, backend_module.get_backend().name,
-                 [(jid, job.params) for jid, job in block.items]),
+                (block.kind, [(jid, job.params) for jid, job in block.items]),
             )
             inflight[future] = block
 

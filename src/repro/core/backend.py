@@ -1,50 +1,41 @@
-"""The backend seam: pluggable compiled kernels for the hot paths.
+"""The backend seam: two fixed backends for the hot paths.
 
 A *backend* optionally accelerates the hot loops with compiled code:
 
 * ``run_levels`` — the batch engine's whole level loop (window jitters,
   downstream terms, fixed points, totals, taint, retirement) over the
   level-major slot arrays :func:`repro.core.batch.analyze_batch` builds;
-* ``solve_rows`` — just one level's ceiling-recurrence fixed points,
-  for backends that accelerate the inner loop but not the sweep;
 * ``sim_run`` — the wormhole simulator's event-deque drain over the flat
   :class:`~repro.sim.network.NetworkState` arrays.
 
-Both hooks are *optional*: a backend exposing ``None`` for a kernel
-leaves the caller on its built-in numpy/Python path.  The ``numpy``
-backend (the oracle and the fallback) provides no kernels at all — it
-*is* the built-in path; ``cext`` (the default) loads the C library
-built from ``core/_kernels.c`` (see :mod:`repro.core._cbuild`).
+A backend exposing ``None`` for a kernel leaves the caller on its
+built-in numpy/Python path.  The ``numpy`` backend (the oracle and the
+fallback) provides no kernels at all — it *is* the built-in path;
+``cext`` (the default) loads the C library built from
+``core/_kernels.c`` (see :mod:`repro.core._cbuild`).
 
 **Byte-identity is the contract.**  Every kernel must produce results
 byte-identical to the built-in path (the equivalence suites are
 parametrized over all available backends), which is what makes silent
-fallback safe: selecting an unavailable backend degrades to numpy with
-a single warning and *identical* results, differing only in speed.
+fallback safe: an unavailable backend degrades to numpy with a single
+warning and *identical* results, differing only in speed.
 
-Selection order: an explicit :func:`set_backend` call beats the
-``REPRO_BACKEND`` environment variable beats the default (``cext``,
-which degrades to ``numpy`` with the same single warning when the C
-library cannot be loaded or built; ``REPRO_BACKEND=numpy`` runs the
-oracle).
-``set_backend`` also writes ``REPRO_BACKEND`` back into ``os.environ``
-so worker processes — forked *or* spawned — inherit the choice; the
-campaign scheduler additionally ships the name inside each job block
-(see DESIGN.md, "Backend seam") so late-joining pool workers agree.
+Selection has one switch, the ``REPRO_BACKEND`` environment variable,
+read on first use: unset means ``cext``, which degrades to ``numpy``
+with that single warning when the C library cannot be loaded or built;
+``REPRO_BACKEND=numpy`` runs the oracle; an unknown name warns once and
+uses numpy.  Worker processes, forked or spawned, inherit the variable
+and so resolve the same backend as their coordinator.
 """
 
 from __future__ import annotations
 
 import contextlib
-import ctypes
 import os
 import warnings
 from ctypes import c_int64, c_void_p
 
-try:  # compiled backends are numpy-in, numpy-out; no numpy, no seam
-    import numpy as _np
-except ImportError:  # pragma: no cover - the toolchain ships numpy
-    _np = None
+import numpy as _np
 
 ENV_VAR = "REPRO_BACKEND"
 DEFAULT_NAME = "cext"
@@ -54,13 +45,12 @@ FALLBACK_NAME = "numpy"
 class Backend:
     """One named backend; subclasses attach compiled kernels.
 
-    ``solve_rows`` / ``sim_run`` are either ``None`` (use the caller's
+    ``run_levels`` / ``sim_run`` are either ``None`` (use the caller's
     built-in path) or callables with the contracts described on
     :class:`CextBackend`.
     """
 
     name = "base"
-    solve_rows = None
     run_levels = None
     sim_run = None
 
@@ -101,19 +91,16 @@ class CextBackend(Backend):
     def available(self) -> bool:
         if not self._probed:
             self._probed = True
-            if _np is None:
-                self._error = "numpy unavailable"
-            else:
-                try:
-                    loader = self._loader
-                    if loader is None:
-                        from repro.core import _cbuild
-                        loader = _cbuild.load
-                    self._lib, self._artifact = loader()
-                    self._declare()
-                except Exception as exc:  # noqa: BLE001 - report, not raise
-                    self._lib = None
-                    self._error = str(exc)
+            try:
+                loader = self._loader
+                if loader is None:
+                    from repro.core import _cbuild
+                    loader = _cbuild.load
+                self._lib, self._artifact = loader()
+                self._declare()
+            except Exception as exc:  # noqa: BLE001 - report, not raise
+                self._lib = None
+                self._error = str(exc)
         return self._lib is not None
 
     def detail(self) -> str:
@@ -125,42 +112,10 @@ class CextBackend(Backend):
 
     def _declare(self) -> None:
         lib = self._lib
-        lib.repro_solve_rows.restype = None
-        lib.repro_solve_rows.argtypes = (
-            [c_int64] + [c_void_p] * 9 + [c_int64] * 2 + [c_void_p] * 4
-        )
         lib.repro_run_levels.restype = None
         lib.repro_run_levels.argtypes = [c_void_p] * 34
         lib.repro_sim_run.restype = c_int64
         lib.repro_sim_run.argtypes = [c_void_p] * 47
-
-    # -- kernel: batched ceiling recurrence --------------------------------
-
-    def solve_rows(self, start, warm_active, base, give, cold, wj, period,
-                   cost, counts):
-        """Drop-in for :func:`repro.core.batch._solve_rows` (same contract:
-        byte-identical outputs, same dtypes)."""
-        from repro.core.batch import _MAX_ITERATIONS, _SAFE_RESPONSE
-
-        i64 = lambda a: _np.ascontiguousarray(a, dtype=_np.int64)  # noqa: E731
-        start = i64(start)
-        warm = _np.ascontiguousarray(warm_active, dtype=_np.bool_)
-        base, give, cold = i64(base), i64(give), i64(cold)
-        wj, period, cost, counts = i64(wj), i64(period), i64(cost), i64(counts)
-        n = len(start)
-        out_r = _np.zeros(n, dtype=_np.int64)
-        out_conv = _np.zeros(n, dtype=_np.bool_)
-        out_iters = _np.zeros(n, dtype=_np.int64)
-        out_unsafe = _np.zeros(n, dtype=_np.bool_)
-        self._lib.repro_solve_rows(
-            n, start.ctypes.data, warm.ctypes.data, base.ctypes.data,
-            give.ctypes.data, cold.ctypes.data, wj.ctypes.data,
-            period.ctypes.data, cost.ctypes.data, counts.ctypes.data,
-            _SAFE_RESPONSE, _MAX_ITERATIONS,
-            out_r.ctypes.data, out_conv.ctypes.data, out_iters.ctypes.data,
-            out_unsafe.ctypes.data,
-        )
-        return out_r, out_conv, out_iters, out_unsafe
 
     # -- kernel: the whole level loop --------------------------------------
 
@@ -336,29 +291,21 @@ class CextBackend(Backend):
 
 
 # ---------------------------------------------------------------------------
-# Registry and selection.
+# Selection.
 # ---------------------------------------------------------------------------
 
-_REGISTRY: dict[str, Backend] = {}
+#: The fixed backend table, numpy (the oracle) first.
+_BACKENDS: dict[str, Backend] = {
+    "numpy": NumpyBackend(),
+    "cext": CextBackend(),
+}
 _ACTIVE: Backend | None = None
 _WARNED: set[str] = set()
 
 
-def register_backend(backend: Backend, *, replace: bool = False) -> None:
-    """Add a backend to the registry (``replace=True`` for tests)."""
-    if backend.name in _REGISTRY and not replace:
-        raise ValueError(f"backend {backend.name!r} already registered")
-    _REGISTRY[backend.name] = backend
-
-
-def registered_backend_names() -> list[str]:
-    """All registered names, registration order (numpy first)."""
-    return list(_REGISTRY)
-
-
 def available_backend_names() -> list[str]:
-    """Registered backends whose availability probe succeeds."""
-    return [name for name, b in _REGISTRY.items() if b.available()]
+    """Backends whose availability probe succeeds (numpy first)."""
+    return [name for name, b in _BACKENDS.items() if b.available()]
 
 
 def _warn_once(message: str, key: str) -> None:
@@ -367,28 +314,23 @@ def _warn_once(message: str, key: str) -> None:
         warnings.warn(message, RuntimeWarning, stacklevel=3)
 
 
-def _resolve(name: str | None, *, strict: bool) -> Backend:
+def _resolve(name: str | None) -> Backend:
     requested = (name or DEFAULT_NAME).strip().lower()
-    backend = _REGISTRY.get(requested)
+    backend = _BACKENDS.get(requested)
     if backend is None:
-        if strict:
-            raise ValueError(
-                f"unknown backend {requested!r}; "
-                f"registered: {', '.join(_REGISTRY)}"
-            )
         _warn_once(
             f"unknown backend {requested!r} "
-            f"(registered: {', '.join(_REGISTRY)}); using numpy",
+            f"(known: {', '.join(_BACKENDS)}); using numpy",
             f"unknown:{requested}",
         )
-        return _REGISTRY[FALLBACK_NAME]
+        return _BACKENDS[FALLBACK_NAME]
     if not backend.available():
         _warn_once(
             f"backend {requested!r} unavailable ({backend.detail()}); "
             "falling back to numpy",
             f"unavailable:{requested}",
         )
-        return _REGISTRY[FALLBACK_NAME]
+        return _BACKENDS[FALLBACK_NAME]
     return backend
 
 
@@ -396,47 +338,29 @@ def get_backend() -> Backend:
     """The active backend (``REPRO_BACKEND``, else ``cext``, on first use)."""
     global _ACTIVE
     if _ACTIVE is None:
-        _ACTIVE = _resolve(os.environ.get(ENV_VAR), strict=False)
+        _ACTIVE = _resolve(os.environ.get(ENV_VAR))
     return _ACTIVE
-
-
-def set_backend(name: str) -> Backend:
-    """Select a backend by name (raises ``ValueError`` on unknown names).
-
-    A known-but-unavailable backend falls back to numpy with a single
-    warning — selection can never make results worse, only slower.  The
-    requested name is exported as ``REPRO_BACKEND`` so worker processes
-    inherit the choice.
-    """
-    global _ACTIVE
-    _resolve(name, strict=True)  # unknown names are an error here
-    os.environ[ENV_VAR] = (name or DEFAULT_NAME).strip().lower()
-    _ACTIVE = _resolve(name, strict=False)
-    return _ACTIVE
-
-
-def apply_worker_backend(name: str | None) -> Backend:
-    """Best-effort selection inside worker processes.
-
-    Jobs ship the coordinator's backend name; workers apply it quietly
-    (unknown or unavailable names degrade to numpy exactly like
-    :func:`get_backend`, warning once per process).
-    """
-    global _ACTIVE
-    if name:
-        os.environ[ENV_VAR] = name
-        _ACTIVE = _resolve(name, strict=False)
-    return get_backend()
 
 
 @contextlib.contextmanager
 def use_backend(name: str):
-    """Temporarily select a backend (tests, probes); restores on exit."""
+    """Run under ``REPRO_BACKEND=name`` for a while (tests, probes).
+
+    Raises ``ValueError`` on unknown names; an unavailable backend
+    falls back to numpy with the usual single warning.  Restores the
+    previous selection and environment on exit.
+    """
     global _ACTIVE
+    if name not in _BACKENDS:
+        raise ValueError(
+            f"unknown backend {name!r}; known: {', '.join(_BACKENDS)}"
+        )
     saved_active = _ACTIVE
     saved_env = os.environ.get(ENV_VAR)
+    os.environ[ENV_VAR] = name
+    _ACTIVE = _resolve(name)
     try:
-        yield set_backend(name)
+        yield _ACTIVE
     finally:
         _ACTIVE = saved_active
         if saved_env is None:
@@ -446,10 +370,10 @@ def use_backend(name: str):
 
 
 def backend_infos() -> list[dict]:
-    """Diagnostics rows for every registered backend (``repro backend``)."""
+    """Diagnostics rows for every backend (``repro backend``)."""
     active = get_backend()
     rows = []
-    for name, backend in _REGISTRY.items():
+    for name, backend in _BACKENDS.items():
         rows.append(
             {
                 "name": name,
@@ -457,7 +381,7 @@ def backend_infos() -> list[dict]:
                 "active": backend is active,
                 "detail": backend.detail(),
                 "kernels": sorted(
-                    k for k in ("solve_rows", "run_levels", "sim_run")
+                    k for k in ("run_levels", "sim_run")
                     if getattr(backend, k, None) is not None
                 ),
             }
@@ -470,12 +394,8 @@ def _reset_for_tests() -> None:
     global _ACTIVE
     _ACTIVE = None
     _WARNED.clear()
-    cext = _REGISTRY.get("cext")
+    cext = _BACKENDS.get("cext")
     if isinstance(cext, CextBackend):
         cext._probed = False
         cext._lib = None
         cext._error = None
-
-
-register_backend(NumpyBackend())
-register_backend(CextBackend())

@@ -33,7 +33,6 @@ enforces the contract on randomized platforms.
 
 Scalar fallback: a scenario is handed back to :func:`analyze` when
 
-* numpy is unavailable,
 * its analysis is not exactly SB/XLWX/IBN (subclasses may override the
   strategy points, which the array program cannot see),
 * a response iterate approaches the int64 safety bound or the
@@ -50,6 +49,8 @@ import weakref
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as _np
+
 from repro.core import backend as _backend
 from repro.core.analyses.base import Analysis
 from repro.core.analyses.ibn import IBNAnalysis
@@ -65,11 +66,6 @@ from repro.core.engine import (
 )
 from repro.core.interference import InterferenceGraph
 from repro.flows.flowset import FlowSet
-
-try:  # optional: the batch path needs numpy (scalar fallback below)
-    import numpy as _np
-except ImportError:  # pragma: no cover - the toolchain ships numpy
-    _np = None
 
 #: Iterates beyond this divert the scenario to the scalar engine before
 #: int64 products could overflow (Python ints are unbounded there).
@@ -107,7 +103,7 @@ class Scenario:
 
 def batchable(analysis: Analysis) -> bool:
     """Can the array program run this analysis (else: scalar fallback)?"""
-    return _np is not None and type(analysis) in _MODES
+    return type(analysis) in _MODES
 
 
 #: Default stacked-flow count beneath which batch consumers prefer the
@@ -709,12 +705,10 @@ def _run_batch(scenarios, *, stop_at_deadline, early_exit):
     has_blocking = bool(BLK.any())
     any_warm = bool(WARM.any())
     any_retired = False
-    # The backend seam: a compiled backend may take the whole level
-    # loop (run_levels) or just the fixed-point inner loop (solve_rows);
-    # either way the contract is byte-identical dynamic state.  numpy
-    # keeps the in-module implementations.
+    # The backend seam: a compiled backend takes the whole level loop
+    # (run_levels) with byte-identical dynamic state; numpy keeps the
+    # in-module loop below.
     kernel = _backend.get_backend()
-    solve = kernel.solve_rows or _solve_rows
     if kernel.run_levels is not None:
         kernel.run_levels(
             max_f=max_f, early_exit=early_exit,
@@ -826,7 +820,7 @@ def _run_batch(scenarios, *, stop_at_deadline, early_exit):
         else:
             warm_ok = _np.zeros(len(slots), dtype=bool)
             start = cold
-        r_fin, conv_fin, iters, unsafe = solve(
+        r_fin, conv_fin, iters, unsafe = _solve_rows(
             start, warm_ok, base, give, cold, wj, T[pj], iter_cost, counts
         )
         iterations[scns] += iters

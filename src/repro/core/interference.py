@@ -41,12 +41,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.flows.flowset import FlowSet
+import numpy as _np
 
-try:  # optional: vectorized pair discovery (pure-python fallback below)
-    import numpy as _np
-except ImportError:  # pragma: no cover - the toolchain ships numpy
-    _np = None
+from repro.flows.flowset import FlowSet
 
 #: Flow-set size from which the numpy pair-discovery path pays for itself;
 #: below it, matrix setup costs more than the plain double loop.
@@ -147,8 +144,8 @@ class InterferenceGraph:
         # first/last orders of cd_ij on flow i's route (row i, column j).
         # 0 size / 0 lo means "routes disjoint".  Two gears fill them: a
         # matrix-algebra path (numpy, pays off from medium sets up) and a
-        # scalar bitmask path (small sets, numpy-less installs).
-        if _np is not None and n >= _VECTOR_DISCOVERY_MIN_FLOWS:
+        # scalar bitmask path (small sets).
+        if n >= _VECTOR_DISCOVERY_MIN_FLOWS:
             self._build_tables_vector(routes, n, num_links)
         else:
             self._build_tables_scalar(routes, masks, n, num_links)
@@ -319,12 +316,10 @@ class InterferenceGraph:
 
         The batched analysis engine (:mod:`repro.core.batch`) derives its
         flat pair/downstream index tables from these with whole-matrix
-        algebra instead of per-pair accessor calls.  Requires numpy; the
-        vector discovery gear hands back its backing matrices, the scalar
-        gear's nested lists are converted on the fly.
+        algebra instead of per-pair accessor calls.  The vector discovery
+        gear hands back its backing matrices, the scalar gear's nested
+        lists are converted on the fly.
         """
-        if _np is None:  # pragma: no cover - the toolchain ships numpy
-            raise RuntimeError("geometry_matrices requires numpy")
 
         def dense(table):
             matrix = getattr(table, "_matrix", None)

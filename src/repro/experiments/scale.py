@@ -58,11 +58,6 @@ class Scale:
     validation_buffer_depths: tuple[int, ...] = (2, 10)
     validation_synthetic_sets: int = 2
 
-    @property
-    def is_paper(self) -> bool:
-        """True for the full paper-scale preset."""
-        return self.name == "paper"
-
 
 _PRESETS = {
     "ci": Scale(

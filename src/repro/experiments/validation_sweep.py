@@ -43,7 +43,6 @@ from repro.campaigns.spec import (
 from repro.core.analyses.ibn import IBNAnalysis
 from repro.core.analyses.sb import SBAnalysis
 from repro.core.analyses.xlwx import XLWXAnalysis
-from repro.core.engine import analyze
 from repro.core.interference import InterferenceGraph
 from repro.experiments.sim_jobs import expand_sim_chunks, fold_worst
 from repro.flows.flowset import FlowSet
@@ -175,12 +174,6 @@ def synthetic_validation_flowset(
     config = SyntheticConfig(num_flows=num_flows, **VALIDATION_CONFIG)
     flows = synthetic_flows(config, platform.topology.num_nodes, rng)
     return FlowSet(platform, flows)
-
-
-def _flow_bounds(flowset: FlowSet, graph: InterferenceGraph, analysis):
-    """One analysis' response time per flow (None when unconverged)."""
-    result = analyze(flowset, analysis, graph=graph, stop_at_deadline=False)
-    return _bounds_of(result)
 
 
 def _bounds_of(result) -> dict[str, int | None]:

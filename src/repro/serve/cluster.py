@@ -923,16 +923,6 @@ class ClusterSupervisor:
             slot.process.kill()
         return pid
 
-    def store_roles(self) -> dict[int, dict[str, str]]:
-        """Current role of every store member, by shard (chaos hook)."""
-        with self._lock:
-            roles: dict[int, dict[str, str]] = {}
-            for slot in self._stores:
-                roles.setdefault(slot.shard, {})[
-                    slot.address or f"member-{slot.member}"
-                ] = slot.role
-            return roles
-
     def wedge_frontend(self, index: int = 0) -> None:
         """Make one front-end stop answering pings (chaos hook)."""
         with self._lock:

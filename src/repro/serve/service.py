@@ -135,11 +135,6 @@ class ServeConfig:
     max_inflight: int = 0
     #: ``Retry-After`` hint (seconds) on shed 429 responses.
     shed_retry_after_s: float = 1.0
-    #: Compute backend for this service and its worker pool (``numpy``
-    #: or ``cext``; ``None`` keeps ``REPRO_BACKEND``, else the ``cext``
-    #: default).  Selection is exported into the environment, so pool
-    #: workers inherit it.
-    backend: str | None = None
 
     def __post_init__(self) -> None:
         if self.workers < 0:
@@ -209,14 +204,6 @@ class ServeConfig:
                 "shed_retry_after_s must be > 0, got "
                 f"{self.shed_retry_after_s}"
             )
-        if self.backend is not None:
-            from repro.core.backend import registered_backend_names
-
-            if self.backend.strip().lower() not in registered_backend_names():
-                raise ValueError(
-                    f"unknown backend {self.backend!r}; registered: "
-                    f"{', '.join(registered_backend_names())}"
-                )
 
 
 class CampaignStatus:
@@ -292,12 +279,6 @@ class AnalysisService:
 
     def __init__(self, config: ServeConfig | None = None) -> None:
         self.config = config or ServeConfig()
-        if self.config.backend is not None:
-            # Selection exports REPRO_BACKEND, so the pool's (spawned or
-            # forked) workers inherit the choice with the environment.
-            from repro.core import backend as backend_mod
-
-            backend_mod.set_backend(self.config.backend)
         store = None
         if self.config.store_addrs:
             # Cluster mode: the query tier is the shared store-daemon

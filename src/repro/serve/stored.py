@@ -31,7 +31,6 @@ The protocol is JSON documents framed by a 4-byte big-endian length::
     {"op": "put",  "job": <hash>, "result": .} -> {"ok": true, "stored": bool, "replicated": bool}
     {"op": "stats"}                            -> {"ok": true, "entries": N, ...}
     {"op": "ping"}                             -> {"ok": true}
-    {"op": "sync", "log_id": .., "offset": N}  -> {"ok": true, "records": [..], "offset": N', "more": bool}
     {"op": "stream", "log_id": .., "offset": N} -> header, then a feed of
         {"op": "rep", "job": .., "result": .., "offset": N'} frames; the
         subscriber answers each with {"op": "ack", "offset": N'}
@@ -484,20 +483,6 @@ class StoreDaemon:
                         with self._counter_lock:
                             self.ack_downgrades += 1
             return {"ok": True, "stored": stored, "replicated": replicated}
-        if op == "sync":
-            # One-shot catch-up batch: the poll-based sibling of
-            # ``stream``, used by tools and tests.
-            offset = self._resume_offset(request)
-            records, next_offset, more = self.store.read_log(
-                offset, limit=256
-            )
-            return {
-                "ok": True,
-                "log_id": self.log_id,
-                "records": records,
-                "offset": next_offset,
-                "more": more,
-            }
         if op == "promote":
             return self._promote(request)
         if op == "stats":

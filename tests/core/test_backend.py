@@ -1,45 +1,36 @@
-"""The backend seam: registry, selection, fallback, and kernel parity.
+"""The backend seam: the backend table, selection, fallback, agreement.
 
 The seam's safety story is that picking a backend can never change a
 result — unknown or broken backends degrade to numpy with one warning
-and byte-identical output.  These tests exercise the registry and
-selection order (explicit call > ``REPRO_BACKEND`` > the ``cext``
+and byte-identical output.  These tests exercise the fixed backend
+table and the one switch (``REPRO_BACKEND``, else the ``cext``
 default), the broken-extension fallback path with a deliberately
-failing loader and with an unwritable kernel cache, the
-``repro backend`` CLI diagnostic, the serve config validation, the
-tiny-round threshold tunable, and a direct fuzz of the C ``solve_rows``
-kernel against its numpy oracle.
+failing loader and with an unwritable kernel cache, pool workers
+resolving the coordinator's backend from the inherited environment,
+the ``repro backend`` CLI diagnostic, and the tiny-round threshold
+tunable.
 """
 
+import os
 import warnings
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from repro.campaigns import registry
+from repro.campaigns.engine import run_campaign
+from repro.campaigns.spec import CampaignSpec, Job
 from repro.core import _cbuild
 from repro.core import backend as backend_mod
 from repro.core._cbuild import KernelBuildError
 from repro.core.backend import (
     Backend,
     CextBackend,
-    NumpyBackend,
-    apply_worker_backend,
     available_backend_names,
     backend_infos,
     get_backend,
-    register_backend,
-    registered_backend_names,
-    set_backend,
     use_backend,
 )
-from repro.core.batch import (
-    Scenario,
-    _solve_rows,
-    analyze_batch,
-    min_batch_flows,
-)
+from repro.core.batch import Scenario, analyze_batch, min_batch_flows
 from repro.core.engine import analyze
 from repro.core.analyses.ibn import IBNAnalysis
 from repro.flows.flowset import FlowSet
@@ -51,13 +42,10 @@ from repro.workloads.synthetic import SyntheticConfig, synthetic_flows
 
 @pytest.fixture(autouse=True)
 def _isolated_selection(monkeypatch):
-    """Each test starts unselected with a pristine registry and env."""
-    saved_registry = dict(backend_mod._REGISTRY)
+    """Each test starts unselected with a pristine env."""
     monkeypatch.delenv(backend_mod.ENV_VAR, raising=False)
     backend_mod._reset_for_tests()
     yield
-    backend_mod._REGISTRY.clear()
-    backend_mod._REGISTRY.update(saved_registry)
     backend_mod._reset_for_tests()
 
 
@@ -86,21 +74,13 @@ class _LoadedCext(Backend):
 
 class TestRegistry:
     def test_builtin_backends_registered(self):
-        names = registered_backend_names()
-        assert names[0] == "numpy"
-        assert "cext" in names
+        assert list(backend_mod._BACKENDS) == ["numpy", "cext"]
 
     def test_numpy_always_available_with_no_kernels(self):
         assert "numpy" in available_backend_names()
-        numpy_backend = backend_mod._REGISTRY["numpy"]
-        assert numpy_backend.solve_rows is None
+        numpy_backend = backend_mod._BACKENDS["numpy"]
         assert numpy_backend.run_levels is None
         assert numpy_backend.sim_run is None
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_backend(NumpyBackend())
-        register_backend(NumpyBackend(), replace=True)  # tests may replace
 
     def test_backend_infos_shape(self):
         rows = {row["name"]: row for row in backend_infos()}
@@ -112,13 +92,13 @@ class TestRegistry:
 
 class TestSelection:
     def test_default_is_cext_when_it_loads(self):
-        loads = backend_mod._REGISTRY["cext"].available()
+        loads = backend_mod._BACKENDS["cext"].available()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # no compiler
             assert get_backend().name == ("cext" if loads else "numpy")
 
     def test_explicit_numpy_is_silent_when_cext_loads(self, monkeypatch):
-        register_backend(_LoadedCext(), replace=True)
+        monkeypatch.setitem(backend_mod._BACKENDS, "cext", _LoadedCext())
         assert get_backend().name == "cext"
         monkeypatch.setenv(backend_mod.ENV_VAR, "numpy")
         backend_mod._reset_for_tests()
@@ -131,19 +111,6 @@ class TestSelection:
         backend_mod._reset_for_tests()
         assert get_backend().name == "numpy"
 
-    def test_set_backend_beats_env_and_exports(self, monkeypatch):
-        import os
-
-        monkeypatch.setenv(backend_mod.ENV_VAR, "nonsense")
-        selected = set_backend("numpy")
-        assert selected.name == "numpy"
-        assert get_backend() is selected
-        assert os.environ[backend_mod.ENV_VAR] == "numpy"
-
-    def test_set_backend_unknown_raises(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            set_backend("does-not-exist")
-
     def test_unknown_env_warns_once_and_uses_numpy(self, monkeypatch):
         monkeypatch.setenv(backend_mod.ENV_VAR, "bogus")
         backend_mod._reset_for_tests()
@@ -154,38 +121,52 @@ class TestSelection:
             warnings.simplefilter("error")
             assert get_backend().name == "numpy"  # silent the second time
 
-    def test_use_backend_restores_selection_and_env(self, monkeypatch):
-        import os
-
+    def test_use_backend_restores_selection_and_env(self):
         before = get_backend()
         with use_backend("numpy") as active:
             assert active.name == "numpy"
+            assert get_backend() is active
             assert os.environ[backend_mod.ENV_VAR] == "numpy"
         assert get_backend() is before
         assert backend_mod.ENV_VAR not in os.environ
 
-    def test_apply_worker_backend(self):
-        assert apply_worker_backend("numpy").name == "numpy"
-        assert apply_worker_backend(None).name == "numpy"
+    def test_use_backend_beats_env_and_exports(self, monkeypatch):
+        monkeypatch.setenv(backend_mod.ENV_VAR, "nonsense")
+        with use_backend("numpy") as active:
+            assert active.name == "numpy"
+            assert get_backend() is active
+            assert os.environ[backend_mod.ENV_VAR] == "numpy"
+        assert os.environ[backend_mod.ENV_VAR] == "nonsense"
+
+    def test_use_backend_unknown_raises(self):
+        with pytest.raises(ValueError, match="unknown backend"):
+            with use_backend("does-not-exist"):
+                pass
+        assert backend_mod.ENV_VAR not in os.environ
 
 
 class TestBrokenExtensionFallback:
+    """A ``cext`` that cannot load, swapped into the backend table."""
+
     def test_broken_loader_reports_unavailable(self):
         broken = _broken_cext()
         assert broken.available() is False
         assert "simulated build failure" in broken.detail()
 
-    def test_selection_falls_back_to_numpy_with_one_warning(self):
-        register_backend(_broken_cext(), replace=True)
+    def test_selection_falls_back_to_numpy_with_one_warning(
+        self, monkeypatch
+    ):
+        monkeypatch.setitem(backend_mod._BACKENDS, "cext", _broken_cext())
+        monkeypatch.setenv(backend_mod.ENV_VAR, "cext")
         with pytest.warns(RuntimeWarning, match="falling back to numpy"):
-            selected = set_backend("cext")
-        assert selected.name == "numpy"
+            assert get_backend().name == "numpy"
+        backend_mod._ACTIVE = None  # force re-resolution
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert set_backend("cext").name == "numpy"  # warned once only
+            assert get_backend().name == "numpy"  # warned once only
 
-    def test_default_falls_back_to_numpy_with_one_warning(self):
-        register_backend(_broken_cext(), replace=True)
+    def test_default_falls_back_to_numpy_with_one_warning(self, monkeypatch):
+        monkeypatch.setitem(backend_mod._BACKENDS, "cext", _broken_cext())
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert get_backend().name == "numpy"
@@ -214,23 +195,69 @@ class TestBrokenExtensionFallback:
         monkeypatch.setenv("REPRO_KERNEL_CACHE", str(blocker / "sub"))
         with pytest.raises(KernelBuildError, match="cannot write kernel"):
             _cbuild.load()
-        register_backend(CextBackend(), replace=True)
+        monkeypatch.setitem(backend_mod._BACKENDS, "cext", CextBackend())
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert get_backend().name == "numpy"
         assert [w.category for w in caught] == [RuntimeWarning]
         assert "cannot write kernel cache" in str(caught[0].message)
 
-    def test_fallback_results_identical_to_scalar(self):
-        register_backend(_broken_cext(), replace=True)
+    def test_fallback_results_identical_to_scalar(self, monkeypatch):
+        monkeypatch.setitem(backend_mod._BACKENDS, "cext", _broken_cext())
+        monkeypatch.setenv(backend_mod.ENV_VAR, "cext")
         flowset = _flowset(20, seed=3)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            set_backend("cext")
+            assert get_backend().name == "numpy"
         batch = analyze_batch([Scenario(flowset, IBNAnalysis())])[0]
         cold = analyze(flowset, IBNAnalysis())
         assert batch.flows == cold.flows
         assert batch.complete == cold.complete
+
+
+# A job kind that reports the backend its worker process runs: the one
+# it holds and the one a freshly started process would resolve from the
+# environment it inherited.
+@registry.job_executor("backend_probe")
+def _probe_backend(params):
+    fresh = backend_mod._resolve(os.environ.get(backend_mod.ENV_VAR))
+    return {"active": get_backend().name, "fresh": fresh.name,
+            "pid": os.getpid()}
+
+
+registry.register_kind(
+    registry.CampaignKind(
+        name="backend_probe",
+        plan=lambda spec: registry.Plan(jobs=[
+            Job(kind="backend_probe", params={"index": i})
+            for i in range(spec.params["jobs"])
+        ]),
+        aggregate=lambda spec, plan, results: [
+            results[job.job_id] for job in plan.jobs
+        ],
+        render=lambda spec, result: repr(result),
+    )
+)
+
+
+class TestWorkersAgree:
+    """Pool workers run the coordinator's backend, picked by env alone."""
+
+    @pytest.mark.parametrize("env", ["numpy", None], ids=["numpy", "default"])
+    def test_pool_workers_match_coordinator(self, monkeypatch, env):
+        if env is not None:
+            monkeypatch.setenv(backend_mod.ENV_VAR, env)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # no compiler
+            coordinator = get_backend().name
+        spec = CampaignSpec(kind="backend_probe", name="probe",
+                            params={"jobs": 6})
+        run = run_campaign(spec, workers=2)
+        assert not run.partial
+        assert {os.getpid()}.isdisjoint(row["pid"] for row in run.result)
+        for row in run.result:
+            assert row["active"] == coordinator
+            assert row["fresh"] == coordinator
 
 
 class TestMinBatchFlows:
@@ -260,47 +287,29 @@ class TestCli:
         assert "numpy" in out
         assert "cext" in out
 
-    def test_global_backend_flag_rejects_unknown(self, capsys):
+    def test_env_picks_the_cli_backend(self, monkeypatch, capsys):
         from repro.__main__ import main
 
-        assert main(["--backend", "bogus", "backend"]) == 2
-        assert "unknown backend" in capsys.readouterr().err
+        monkeypatch.setenv(backend_mod.ENV_VAR, "numpy")
+        assert main(["backend"]) == 0
+        assert "* numpy" in capsys.readouterr().out
+
+    def test_global_backend_flag_rejects_unknown(self, capsys):
+        """The ``--backend`` flags are gone: passing one is a usage
+        error, never a silently ignored choice."""
+        from repro.__main__ import main
+
+        for argv in (["--backend", "bogus", "backend"],
+                     ["--backend", "numpy", "backend"],
+                     ["serve", "--backend", "numpy"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "error:" in capsys.readouterr().err
 
     def test_serve_config_validates_backend(self):
+        """``ServeConfig`` has no backend field left to set."""
         from repro.serve import ServeConfig
 
-        with pytest.raises(ValueError, match="backend"):
-            ServeConfig(port=0, workers=0, backend="bogus")
-
-
-class TestCextKernelParity:
-    """Direct fuzz of the compiled row solver against the numpy oracle."""
-
-    @pytest.fixture(autouse=True)
-    def _need_cext(self):
-        if "cext" not in available_backend_names():
-            pytest.skip("C extension unavailable")
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(0, 10**6), st.integers(1, 12))
-    def test_solve_rows_matches_numpy(self, seed, nrows):
-        rng = np.random.default_rng(seed)
-        counts = rng.integers(0, 5, size=nrows).astype(np.int64)
-        npairs = int(counts.sum())
-        base = rng.integers(1, 50, size=nrows).astype(np.int64)
-        give = base + rng.integers(0, 500, size=nrows).astype(np.int64)
-        cold = base.copy()
-        warm = rng.random(nrows) < 0.5
-        start = np.where(
-            warm, base + rng.integers(0, 100, size=nrows), base
-        ).astype(np.int64)
-        wj = rng.integers(0, 100, size=npairs).astype(np.int64)
-        period = rng.integers(1, 200, size=npairs).astype(np.int64)
-        cost = rng.integers(0, 40, size=npairs).astype(np.int64)
-
-        args = (start, warm, base, give, cold, wj, period, cost, counts)
-        expected = _solve_rows(*(a.copy() for a in args))
-        cext = backend_mod._REGISTRY["cext"]
-        got = cext.solve_rows(*(a.copy() for a in args))
-        for exp, out in zip(expected, got):
-            np.testing.assert_array_equal(np.asarray(exp), np.asarray(out))
+        with pytest.raises(TypeError, match="backend"):
+            ServeConfig(port=0, workers=0, backend="numpy")

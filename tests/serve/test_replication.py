@@ -152,24 +152,40 @@ class TestBackupTailing:
 
 
 class TestSyncOp:
+    """A subscriber syncs over ``stream``: it names the log it followed
+    and its offset, and the primary resumes there or from zero."""
+
+    @staticmethod
+    def _stream(daemon, count, **request):
+        sock = socket.create_connection((daemon.host, daemon.port), timeout=5)
+        try:
+            write_frame(sock, {"op": "stream", **request})
+            header = read_frame(sock)
+            assert header["ok"]
+            records = [read_frame(sock) for _ in range(count)]
+        finally:
+            sock.close()
+        assert all(r["op"] == "rep" for r in records)
+        return header, records
+
     def test_sync_batches_and_resumes_from_offset(self, tmp_path):
         with StoreDaemon(tmp_path / "s") as daemon:
             client = StoreClient(f"{daemon.host}:{daemon.port}")
             for i in range(5):
                 client.request({"op": "put", "job": f"j{i}", "result": i})
-            first = client.request({"op": "sync", "offset": 0})
-            assert first["ok"] and not first["more"]
-            assert [r["job"] for r in first["records"]] == \
-                [f"j{i}" for i in range(5)]
+            first, records = self._stream(daemon, 5, offset=0)
+            assert first["offset"] == 0
+            assert [r["job"] for r in records] == [f"j{i}" for i in range(5)]
+            assert records[-1]["offset"] == daemon.store.end_offset
 
             for i in range(5, 7):
                 client.request({"op": "put", "job": f"j{i}", "result": i})
-            resumed = client.request({
-                "op": "sync",
-                "log_id": first["log_id"],
-                "offset": first["offset"],
-            })
-            assert [r["job"] for r in resumed["records"]] == ["j5", "j6"]
+            resume_at = records[-1]["offset"]
+            resumed, records = self._stream(
+                daemon, 2, log_id=first["log_id"], offset=resume_at,
+            )
+            assert resumed["offset"] == resume_at
+            assert [r["job"] for r in records] == ["j5", "j6"]
             client.close()
 
     def test_wrong_log_id_restarts_from_zero(self, tmp_path):
@@ -177,10 +193,19 @@ class TestSyncOp:
             client = StoreClient(f"{daemon.host}:{daemon.port}")
             client.request({"op": "put", "job": "j", "result": 1})
             end = daemon.store.end_offset
-            reply = client.request({
-                "op": "sync", "log_id": "not-this-log", "offset": end,
-            })
-            assert [r["job"] for r in reply["records"]] == ["j"]
+            header, records = self._stream(
+                daemon, 1, log_id="not-this-log", offset=end,
+            )
+            assert header["offset"] == 0
+            assert [r["job"] for r in records] == ["j"]
+            client.close()
+
+    def test_retired_sync_verb_is_an_unknown_op(self, tmp_path):
+        with StoreDaemon(tmp_path / "s") as daemon:
+            client = StoreClient(f"{daemon.host}:{daemon.port}")
+            reply = client.request({"op": "sync", "offset": 0})
+            assert reply == {"ok": False, "error": "unknown op 'sync'"}
+            assert client.request({"op": "ping"}) == {"ok": True}
             client.close()
 
 

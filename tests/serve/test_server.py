@@ -68,10 +68,25 @@ class TestBasicEndpoints:
         client.healthz()
         assert client.stats()["requests"] >= 1
 
-    def test_stats_reports_active_backend(self, client):
-        from repro.core.backend import registered_backend_names
+    @pytest.mark.parametrize("env", ["numpy", None], ids=["numpy", "default"])
+    def test_stats_reports_active_backend(self, monkeypatch, env):
+        from repro.core import backend as backend_mod
 
-        assert client.stats()["backend"] in registered_backend_names()
+        if env is None:
+            monkeypatch.delenv(backend_mod.ENV_VAR, raising=False)
+            loads = backend_mod._BACKENDS["cext"].available()
+            expected = "cext" if loads else "numpy"
+        else:
+            monkeypatch.setenv(backend_mod.ENV_VAR, env)
+            expected = env
+        backend_mod._reset_for_tests()
+        handle = start_in_thread(ServeConfig(port=0, workers=0))
+        try:
+            with ServeClient(handle.host, handle.port) as c:
+                assert c.stats()["backend"] == expected
+        finally:
+            handle.close()
+            backend_mod._reset_for_tests()
 
     def test_keep_alive_reuses_connection(self, client):
         # Both requests travel over the client's single keep-alive
